@@ -5,6 +5,10 @@ its outputs plus a manifest (digest of the effective inputs, the seed, and
 per-file checksums) into the output directory; reruns with the same config
 and seed reproduce every file byte for byte.
 
+The plan report's total_time_us is the requested protocol's scan time
+including focus steps (t_z_step); total_<protocol>_us and both speedup
+ratios compare the three protocols without them.
+
 Exit codes: 0 success, 1 config/usage error, 2 domain or numeric error,
 3 I/O error.
 """
@@ -231,6 +235,8 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
         if args.config is not None:
             cfg_text = Path(args.config).read_text()
         else:

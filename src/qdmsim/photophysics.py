@@ -75,7 +75,10 @@ class LogQuadraticCurve:
         if intensity <= 0:
             raise DomainError(f"intensity must be positive, got {intensity}")
         log_i = math.log10(intensity)
-        t = 10.0 ** (self.a + self.b * log_i + self.c * log_i * log_i)
+        try:
+            t = 10.0 ** (self.a + self.b * log_i + self.c * log_i * log_i)
+        except OverflowError:
+            t = math.inf
         if not math.isfinite(t) or t <= 0:
             raise DomainError(f"curve evaluation overflowed at intensity {intensity}")
         return t

@@ -13,6 +13,7 @@ is exactly invertible either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,14 +97,35 @@ def rf_for_voxel(voxel: tuple[int, int, int], grid: VoxelGrid,
             cal.descan_y.f0 + cal.descan_y.slope * y_um)
 
 
+# Largest distance, in lattice steps, of an inverted frequency from a voxel.
+_RF_LATTICE_TOL = 1e-3
+
+
+def _lattice_index(freq: float, axis: AOMAxis, pitch: float, name: str) -> int:
+    steps = (freq - axis.f0) / axis.slope / pitch
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= _RF_LATTICE_TOL):
+        raise DomainError(f"{name} frequency {freq} MHz lies off the voxel lattice")
+    return round(steps)
+
+
 def voxel_for_rf(freqs: tuple[float, float, float, float], grid: VoxelGrid,
                  cal: AOMCalibration, iz: int = 0) -> tuple[int, int, int]:
-    """Invert rf_for_voxel from the scan-channel frequencies."""
-    f_sx, f_sy, _, _ = freqs
-    ix = round((f_sx - cal.scan_x.f0) / cal.scan_x.slope / grid.pitch)
-    iy = round((f_sy - cal.scan_y.f0) / cal.scan_y.slope / grid.pitch)
-    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
-        raise IndexError(f"frequencies {freqs} map outside the grid")
+    """Invert rf_for_voxel.
+
+    Raises DomainError when a frequency lies off the voxel lattice or the
+    descan channels point at another voxel than the scan channels, and
+    IndexError when the voxel lies outside the grid.
+    """
+    f_sx, f_sy, f_dx, f_dy = freqs
+    ix = _lattice_index(f_sx, cal.scan_x, grid.pitch, "scan_x")
+    iy = _lattice_index(f_sy, cal.scan_y, grid.pitch, "scan_y")
+    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 <= iz < grid.nz):
+        raise IndexError(f"frequencies {freqs} at iz={iz} map outside the grid")
+    descan = (_lattice_index(f_dx, cal.descan_x, grid.pitch, "descan_x"),
+              _lattice_index(f_dy, cal.descan_y, grid.pitch, "descan_y"))
+    if descan != (ix, iy):
+        raise DomainError(f"descan frequencies point at voxel {descan}, "
+                          f"scan frequencies at {(ix, iy)}")
     return ix, iy, iz
 
 
@@ -153,6 +175,26 @@ def _cycle_layout(protocol_tag: str, p: ProtocolParams
     raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
 
 
+def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
+                t_z_step: Optional[float] = None) -> float:
+    """End of the last cycle in us, in closed form.
+
+    Full cycles cost overhead + batch * slot, the partial cycle overhead +
+    partial * slot, and each of the nz - 1 focus steps replaces one dead
+    time t_d with t_z_step.
+    """
+    batch, overhead, slot = _cycle_layout(protocol_tag, p)
+    if t_z_step is not None and t_z_step < 0:
+        raise DomainError(f"t_z_step must be >= 0, got {t_z_step}")
+    full, partial = divmod(grid.n_voxels, batch)
+    total = full * (overhead + batch * slot)
+    if partial:
+        total += overhead + partial * slot
+    if t_z_step is not None:
+        total += (grid.nz - 1) * (t_z_step - p.t_d)
+    return total
+
+
 def plan_acquisition(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
                      cal: Optional[AOMCalibration] = None,
                      t_z_step: Optional[float] = None) -> ScanPlan:
@@ -162,35 +204,29 @@ def plan_acquisition(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     successor voxel sits on a different z plane (focus translation);
     default is the ordinary steering dead time.
     """
+    total = _scan_total(grid, p, protocol_tag, t_z_step)
     batch, overhead, slot = _cycle_layout(protocol_tag, p)
     n = grid.n_voxels
+    plane = grid.nx * grid.ny
     extra_z = 0.0 if t_z_step is None else t_z_step - p.t_d
-    if t_z_step is not None and t_z_step < 0:
-        raise DomainError(f"t_z_step must be >= 0, got {t_z_step}")
 
     cycles = []
     start = 0.0
-    v = 0
-    plane = grid.nx * grid.ny
-    while v < n:
-        count = min(batch, n - v)
-        dur = overhead + count * slot
+    for v in range(0, n, batch):
+        last = min(v + batch, n) - 1
+        dur = overhead + (last - v + 1) * slot
         if extra_z:
-            z_crossings = sum(
-                1 for u in range(v, v + count)
-                if u + 1 < n and (u + 1) // plane != u // plane)
-            dur += extra_z * z_crossings
-        cycles.append(PlannedCycle(v, v + count - 1, start, dur))
+            # planes crossed after readouts v..last, none after the final voxel
+            dur += extra_z * (min(last + 1, n - 1) // plane - v // plane)
+        cycles.append(PlannedCycle(v, last, start, dur))
         start += dur
-        v += count
 
     schedule = None
     if cal is not None:
         cal.check_grid(grid)
-        schedule = tuple(
-            (*grid.coords(i), *rf_for_voxel(grid.coords(i), grid, cal))
-            for i in range(n))
-    return ScanPlan(protocol_tag, grid, tuple(cycles), start, schedule)
+        schedule = tuple((*voxel, *rf_for_voxel(voxel, grid, cal))
+                         for voxel in map(grid.coords, range(n)))
+    return ScanPlan(protocol_tag, grid, tuple(cycles), total, schedule)
 
 
 @dataclass(frozen=True)
@@ -203,8 +239,13 @@ class SpeedupReport:
 
 
 def speedup_report(grid: VoxelGrid, p: ProtocolParams) -> SpeedupReport:
-    """Total-time ratios of the slower protocols against the light-sheet one."""
-    totals = {tag: plan_acquisition(grid, p, tag).total_time for tag in PROTOCOLS}
+    """Total-time ratios of the slower protocols against the light-sheet one.
+
+    The totals and both ratios leave out focus steps: every voxel change,
+    z planes included, costs the steering dead time t_d.  A plan built
+    with t_z_step includes them in its total_time.
+    """
+    totals = {tag: _scan_total(grid, p, tag) for tag in PROTOCOLS}
     return SpeedupReport(
         totals[LCQDM], totals[LEIBOLD], totals[CONVENTIONAL],
         totals[CONVENTIONAL] / totals[LCQDM],

@@ -250,11 +250,14 @@ def validate_sequence(seq: PulseSequence, p: ProtocolParams) -> ValidationReport
             violations.append(f"event {i} starts at {e.start} before event {i - 1}")
         prev_start = e.start
 
-    pulses = [e for e in seq.events if e.kind == CONFOCAL_LASER_PULSE]
+    pulses_by_voxel: dict[Optional[int], list[SequenceEvent]] = {}
+    for e in seq.events:
+        if e.kind == CONFOCAL_LASER_PULSE:
+            pulses_by_voxel.setdefault(e.voxel_index, []).append(e)
     for i, e in enumerate(seq.events):
         if e.kind != READOUT_WINDOW:
             continue
-        matching = [q for q in pulses if q.voxel_index == e.voxel_index]
+        matching = pulses_by_voxel.get(e.voxel_index)
         if not matching:
             continue  # self-dwelling window
         if not any(q.start - tol <= e.start and e.end <= q.end + tol

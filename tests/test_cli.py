@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qdmsim
 
 from qdmsim import (ConfigError, default_config, default_config_text,
                     evaluate_point, parse_config, simulate_calibration,
@@ -9,6 +16,18 @@ from qdmsim.cli import main
 
 def run_cli(*args):
     return main(list(args))
+
+
+def run_module(*args):
+    """qdmsim in a child interpreter, so an uncaught error shows on stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdmsim.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "qdmsim", *args], env=env,
+                          capture_output=True, text=True)
+
+
+def read_report(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
 
 
 def small_config(tmp_path, **overrides):
@@ -172,6 +191,30 @@ class TestCommands:
         assert len(rf) == 1 + 64
 
 
+class TestPlanReport:
+    @pytest.mark.parametrize("protocol", ["lcqdm", "leibold", "conventional"])
+    def test_total_time_is_protocol_total(self, tmp_path, protocol):
+        cfg_path = small_config(tmp_path)
+        out = tmp_path / "plan"
+        assert run_cli("--config", str(cfg_path), "plan", "--protocol", protocol,
+                       "--out", str(out)) == 0
+        report = read_report(out / "plan_report.txt")
+        assert report["total_time_us"] == report[f"total_{protocol}_us"]
+
+    @pytest.mark.parametrize("protocol", ["lcqdm", "leibold", "conventional"])
+    def test_focus_steps_only_in_total_time(self, tmp_path, protocol):
+        cfg_path = small_config(tmp_path, **{"grid_nz = 1": "grid_nz = 3"})
+        cfg_path.write_text(cfg_path.read_text() + "t_z_step = 50 us\n")
+        out = tmp_path / "plan"
+        assert run_cli("--config", str(cfg_path), "plan", "--protocol", protocol,
+                       "--out", str(out)) == 0
+        report = read_report(out / "plan_report.txt")
+        total = float(report["total_time_us"])
+        without_steps = float(report[f"total_{protocol}_us"])
+        assert total - without_steps == pytest.approx(
+            (3 - 1) * (50.0 - 0.1), abs=1e-12 * total)
+
+
 class TestExitCodes:
     def test_missing_trace_is_io_error(self, tmp_path):
         assert run_cli("calibrate", "--trace", str(tmp_path / "nope.csv")) == 3
@@ -191,6 +234,23 @@ class TestExitCodes:
     def test_domain_error(self, tmp_path):
         assert run_cli("simulate", "--protocol", "lcqdm", "--trials", "0",
                        "--out", str(tmp_path / "x")) == 2
+
+    def test_overflowing_curve_is_config_error(self, tmp_path):
+        cfg_path = small_config(tmp_path, **{"init_a = 0.7": "init_a = 400"})
+        proc = run_module("--config", str(cfg_path), "eval",
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        cfg_path = small_config(tmp_path)
+        proc = run_module("--config", str(cfg_path), "simulate", "--protocol",
+                          "lcqdm", "--trials", "5", "--seed", "-1",
+                          "--out", str(tmp_path / "s"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage error:")
 
     def test_flat_contrast_trace_is_domain_error(self, tmp_path):
         path = tmp_path / "flat.csv"

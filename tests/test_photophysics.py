@@ -101,6 +101,11 @@ class TestTimescales:
             PhotophysicsModel(init_curve=LogQuadraticCurve(0.0, 0.0, 0.0),
                               readout_curve=LogQuadraticCurve(1.0, 0.0, 0.0))
 
+    def test_overflowing_curve_is_domain_error(self):
+        # 10 ** 400 overflows a float; it must not escape as OverflowError
+        with pytest.raises(DomainError, match="overflowed"):
+            LogQuadraticCurve(400.0, 0.0, 0.0).duration(1.0)
+
 
 class TestFluxAndContrast:
     def test_half_saturation(self, model):

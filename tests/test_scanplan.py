@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import qdmsim.scanplan
 from qdmsim import (AOMAxis, AOMCalibration, CONVENTIONAL, DomainError, LCQDM,
                     LEIBOLD, PhotophysicsModel, ProtocolParams, VoxelGrid,
                     build_conventional_cycle, cycle_span_by_events, init_time,
@@ -106,6 +107,31 @@ class TestPlanTotals:
         assert slow_z.total_time == pytest.approx(
             base.total_time + 2 * (2.5 - p.t_d), rel=1e-12)
 
+    # cycles hold 980 voxels: with 140-voxel planes each one ends on the
+    # last voxel of a plane, with 9-voxel planes the second one starts there
+    @pytest.mark.parametrize("nx, ny, nz", [(10, 10, 30), (14, 10, 30),
+                                            (9, 1, 400)])
+    def test_multi_plane_cycles_match_per_voxel_crossings(self, nx, ny, nz):
+        p = make_params()
+        g = VoxelGrid(nx, ny, nz, 1.0)
+        t_z = 7.5
+        plan = plan_acquisition(g, p, LCQDM, t_z_step=t_z)
+        n, plane = g.n_voxels, g.nx * g.ny
+        assert any(c.voxel_end // plane - c.voxel_start // plane > 1
+                   for c in plan.cycles)
+        for c in plan.cycles:
+            # reference: a focus step after every voxel whose successor
+            # lies on the next plane
+            crossings = sum(1 for u in range(c.voxel_start, c.voxel_end + 1)
+                            if u + 1 < n and (u + 1) // plane != u // plane)
+            count = c.voxel_end - c.voxel_start + 1
+            assert c.duration == pytest.approx(
+                p.t_init_ls + p.t_mw + count * (p.t_ro_conf + p.t_d)
+                + crossings * (t_z - p.t_d), rel=1e-12)
+        last = plan.cycles[-1]
+        assert plan.total_time == pytest.approx(last.start + last.duration,
+                                                rel=1e-12)
+
     def test_negative_z_step_rejected(self):
         with pytest.raises(DomainError):
             plan_acquisition(VoxelGrid(2, 2, 2, 1.0), make_params(),
@@ -142,6 +168,14 @@ class TestSpeedup:
         assert report.total_lcqdm - report.total_leibold == pytest.approx(
             p.t_init_ls, rel=1e-9)
         assert report.leibold_over_lcqdm <= 1.0
+
+    def test_builds_no_plan(self, monkeypatch):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("speedup_report built a plan")
+        monkeypatch.setattr(qdmsim.scanplan, "plan_acquisition", no_plan)
+        report = speedup_report(VoxelGrid(100, 100, 1, 1.0), make_params())
+        assert report.total_lcqdm == pytest.approx(52320.0, rel=1e-12)
+        assert report.total_conventional == pytest.approx(1251000.0, rel=1e-12)
 
     def test_ordering_property(self, rng):
         # sufficient condition: the sheet init amortizes over each cycle,
@@ -194,6 +228,33 @@ class TestRfMapping:
             for iy in range(16):
                 freqs = rf_for_voxel((ix, iy, 0), g, cal)
                 assert voxel_for_rf(freqs, g, cal) == (ix, iy, 0)
+
+    def test_off_lattice_frequency_rejected(self):
+        g = VoxelGrid(4, 4, 1, 1.0)
+        with pytest.raises(DomainError, match="off the voxel lattice"):
+            voxel_for_rf((80.04, 80.0, 80.0, 80.0), g, default_cal())
+
+    def test_within_lattice_tolerance_accepted(self):
+        g = VoxelGrid(4, 4, 1, 1.0)
+        f = 80.2 + 0.5e-3 * 0.1  # half the tolerance off voxel 2
+        assert voxel_for_rf((f, 80.0, 79.8, 80.0), g, default_cal()) == (2, 0, 0)
+
+    def test_descan_contradicting_scan_rejected(self):
+        g = VoxelGrid(4, 4, 1, 1.0)
+        cal = default_cal()
+        f_sx, f_sy, _, f_dy = rf_for_voxel((1, 2, 0), g, cal)
+        f_dx = rf_for_voxel((3, 2, 0), g, cal)[2]
+        with pytest.raises(DomainError, match="descan"):
+            voxel_for_rf((f_sx, f_sy, f_dx, f_dy), g, cal)
+
+    @pytest.mark.parametrize("iz", [-1, 2])
+    def test_iz_outside_grid(self, iz):
+        g = VoxelGrid(4, 4, 2, 1.0)
+        cal = default_cal()
+        freqs = rf_for_voxel((1, 1, 0), g, cal)
+        assert voxel_for_rf(freqs, g, cal, iz=1) == (1, 1, 1)
+        with pytest.raises(IndexError):
+            voxel_for_rf(freqs, g, cal, iz=iz)
 
     def test_out_of_grid(self):
         g = VoxelGrid(4, 4, 1, 1.0)

@@ -179,6 +179,20 @@ class TestValidation:
         assert not report.ok
         assert any("laser pulse" in v for v in report.violations)
 
+    def test_one_misplaced_leibold_window_is_one_violation(self):
+        p = make_params()
+        events = list(build_leibold_cycle(p, 6).events)
+        moved = next(i for i, e in enumerate(events)
+                     if e.kind == "ReadoutWindow" and e.voxel_index == 3)
+        w = events[moved]
+        # same start, so the event order holds; the end overruns the dwell
+        events[moved] = SequenceEvent(w.kind, w.start,
+                                      p.t_ro_conf + p.t_init_conf + 1.0, 3)
+        report = validate_sequence(PulseSequence(tuple(events), LEIBOLD), p)
+        assert report.violations == (
+            f"readout window (event {moved}) lies outside every laser pulse "
+            f"for voxel 3",)
+
     def test_clamped_single_readout_is_warning(self):
         p = make_params(t_ro=50.0, t_d=0.0, t1=10.0)
         seq = build_lcqdm_cycle(p)
