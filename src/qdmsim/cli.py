@@ -84,7 +84,7 @@ def _sha256(data: bytes) -> str:
 
 
 class _Run:
-    """Collects output files, then writes them plus the manifest at once."""
+    """Collects output files, then writes them and, last, the manifest."""
 
     def __init__(self, command: str, cfg: RunConfig, cfg_text: str,
                  out_dir: Path, seed: int, extra_inputs: list[str]):
@@ -105,6 +105,8 @@ class _Run:
 
     def flush(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        manifest_path = self.out_dir / "manifest.txt"
+        manifest_path.unlink(missing_ok=True)  # never left beside new files
         manifest = [
             f"command = {self.command}",
             f"qdmsim_version = {__version__}",
@@ -115,7 +117,9 @@ class _Run:
             data = self.files[name].encode()
             (self.out_dir / name).write_bytes(data)
             manifest.append(f"output {name} sha256 {_sha256(data)}")
-        (self.out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n")
+        tmp = manifest_path.with_suffix(".tmp")
+        tmp.write_text("\n".join(manifest) + "\n")
+        tmp.replace(manifest_path)
 
 
 def _kv_block(pairs: list[tuple[str, object]]) -> str:
@@ -147,8 +151,7 @@ def _cmd_sweep(run: _Run, args) -> str:
     if args.pgm:
         run.add("sweep_ratio_conv_lc.pgm", grid.to_pgm("conv_lc"))
         run.add("sweep_ratio_leibold_lc.pgm", grid.to_pgm("leibold_lc"))
-    n_cells = len(grid.spec.i_conf_grid) * len(grid.spec.t_mw_grid)
-    return (f"swept {n_cells} cells ({grid.n_valid} valid) -> "
+    return (f"swept {grid.eta_lcqdm.size} cells ({grid.n_valid} valid) -> "
             f"{run.out_dir / 'sweep.csv'}\n")
 
 

@@ -1,6 +1,7 @@
 """Flat key-value run configuration with mandatory unit suffixes.
 
-Config text is line oriented: `key = value [unit]`, `#` starts a comment.
+Config text is line oriented: `key = value [unit]`; `#` starts a comment at
+the start of a line or after whitespace, elsewhere it is part of the value.
 Dimensioned keys require a unit suffix and are converted to the canonical
 units (us, um, mW, mW/um^2, MHz, counts/us); dimensionless keys must not
 carry one.  Unknown and missing keys are rejected.  A config serializes
@@ -10,6 +11,7 @@ back to canonical text that re-parses to an equal config.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -238,7 +240,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate config text into a RunConfig."""
     seen: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, ProtocolParams,
                        build_conventional_cycle, build_lcqdm_cycle,
@@ -85,9 +87,11 @@ class AOMCalibration:
 
 def rf_for_voxel(voxel: tuple[int, int, int], grid: VoxelGrid,
                  cal: AOMCalibration) -> tuple[float, float, float, float]:
-    """Drive frequencies (f_sx, f_sy, f_dx, f_dy) in MHz for one voxel."""
+    """Drive frequencies (f_sx, f_sy, f_dx, f_dy) in MHz for one voxel, or
+    arrays of them when ix, iy and iz are integer arrays."""
     ix, iy, iz = voxel
-    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 <= iz < grid.nz):
+    if not np.all((0 <= ix) & (ix < grid.nx) & (0 <= iy) & (iy < grid.ny)
+                  & (0 <= iz) & (iz < grid.nz)):
         raise IndexError(f"voxel {voxel} outside grid")
     x_um = ix * grid.pitch
     y_um = iy * grid.pitch
@@ -129,34 +133,33 @@ def voxel_for_rf(freqs: tuple[float, float, float, float], grid: VoxelGrid,
     return ix, iy, iz
 
 
-@dataclass(frozen=True)
-class PlannedCycle:
-    voxel_start: int   # first flat voxel index, inclusive
-    voxel_end: int     # last flat voxel index, inclusive
-    start: float       # us
-    duration: float    # us
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanPlan:
+    """Schedule of one protocol over a voxel grid, as record arrays.
+
+    cycles has one row per cycle in scan order: voxel_start, voxel_end (flat
+    voxel indices, inclusive), start and duration (us).  rf_schedule, None
+    without an AOM calibration, has one row per voxel in raster order: ix,
+    iy, iz and the drive frequencies f_sx, f_sy, f_dx, f_dy (MHz).
+    """
+
     protocol_tag: str
     grid: VoxelGrid
-    cycles: tuple[PlannedCycle, ...]
+    cycles: np.recarray
     total_time: float  # us, end of the last cycle
-    rf_schedule: Optional[tuple[tuple[int, int, int, float, float, float, float], ...]]
+    rf_schedule: Optional[np.recarray]
 
     def cycles_csv(self) -> str:
         lines = ["cycle,voxel_start,voxel_end,start_us,duration_us"]
-        for i, c in enumerate(self.cycles):
-            lines.append(f"{i},{c.voxel_start},{c.voxel_end},"
-                         f"{float(c.start)!r},{float(c.duration)!r}")
+        for i, (v0, v1, start, dur) in enumerate(self.cycles.tolist()):
+            lines.append(f"{i},{v0},{v1},{start!r},{dur!r}")
         return "\n".join(lines) + "\n"
 
     def rf_csv(self) -> str:
         if self.rf_schedule is None:
             raise DomainError("plan was built without an AOM calibration")
         lines = ["voxel_x,voxel_y,voxel_z,f_sx_mhz,f_sy_mhz,f_dx_mhz,f_dy_mhz"]
-        for ix, iy, iz, fsx, fsy, fdx, fdy in self.rf_schedule:
+        for ix, iy, iz, fsx, fsy, fdx, fdy in self.rf_schedule.tolist():
             lines.append(f"{ix},{iy},{iz},{fsx!r},{fsy!r},{fdx!r},{fdy!r}")
         return "\n".join(lines) + "\n"
 
@@ -210,23 +213,24 @@ def plan_acquisition(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     plane = grid.nx * grid.ny
     extra_z = 0.0 if t_z_step is None else t_z_step - p.t_d
 
-    cycles = []
-    start = 0.0
-    for v in range(0, n, batch):
-        last = min(v + batch, n) - 1
-        dur = overhead + (last - v + 1) * slot
-        if extra_z:
-            # planes crossed after readouts v..last, none after the final voxel
-            dur += extra_z * (min(last + 1, n - 1) // plane - v // plane)
-        cycles.append(PlannedCycle(v, last, start, dur))
-        start += dur
+    first = np.arange(0, n, batch)
+    last = np.minimum(first + batch, n) - 1
+    duration = overhead + (last - first + 1) * slot
+    # planes crossed after readouts first..last, none after the final voxel
+    duration += extra_z * (np.minimum(last + 1, n - 1) // plane - first // plane)
+    # np.cumsum adds in sequence: each start is exactly previous start + duration
+    start = np.concatenate(([0.0], np.cumsum(duration[:-1])))
+    cycles = np.rec.fromarrays([first, last, start, duration],
+                               names="voxel_start,voxel_end,start,duration")
 
     schedule = None
     if cal is not None:
         cal.check_grid(grid)
-        schedule = tuple((*voxel, *rf_for_voxel(voxel, grid, cal))
-                         for voxel in map(grid.coords, range(n)))
-    return ScanPlan(protocol_tag, grid, tuple(cycles), total, schedule)
+        iz, iy, ix = np.unravel_index(np.arange(n), (grid.nz, grid.ny, grid.nx))
+        schedule = np.rec.fromarrays(
+            [ix, iy, iz, *rf_for_voxel((ix, iy, iz), grid, cal)],
+            names="ix,iy,iz,f_sx,f_sy,f_dx,f_dy")
+    return ScanPlan(protocol_tag, grid, cycles, total, schedule)
 
 
 @dataclass(frozen=True)

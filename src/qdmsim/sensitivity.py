@@ -18,8 +18,9 @@ characteristic comparison maps of the protocols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import astuple, dataclass
+
+import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .photophysics import PhotophysicsModel, init_time, readout_time
@@ -32,26 +33,28 @@ CSV_HEADER = ("i_conf_mw_per_um2,t_mw_us,eta_lc,eta_leibold,eta_conv,"
               "ratio_leibold_lc,ratio_conv_lc,valid")
 
 
+def _etas(t_init_ls, t_init_conf, t_ro_conf, t_mw, t_d, t1):
+    """The three etas from ProtocolParams fields in order; broadcasts."""
+    lc = RECURRENT_SNR_PREFACTOR * np.sqrt(
+        (t_init_ls + t_mw + t1) * (t_ro_conf + t_d) / t1)
+    leibold = RECURRENT_SNR_PREFACTOR * np.sqrt(
+        (t_mw + t1) * (t_ro_conf + t_init_conf + t_d) / t1)
+    return lc, leibold, np.sqrt(t_mw + t_ro_conf + t_init_conf + t_d)
+
+
 def eta_lcqdm(p: ProtocolParams) -> float:
     """Sensitivity of the light-sheet protocol with recurrent readout, sqrt(us)."""
-    slot = p.t_ro_conf + p.t_d
-    if slot <= 0:
-        raise DomainError("t_ro_conf + t_d must be positive")
-    return RECURRENT_SNR_PREFACTOR * math.sqrt(
-        (p.t_init_ls + p.t_mw + p.t1) * slot / p.t1)
+    return float(_etas(*astuple(p))[0])
 
 
 def eta_leibold(p: ProtocolParams) -> float:
     """Sensitivity of the recurrent readout+reinitialization protocol, sqrt(us)."""
-    slot = p.t_ro_conf + p.t_init_conf + p.t_d
-    if slot <= 0:
-        raise DomainError("t_ro_conf + t_init_conf + t_d must be positive")
-    return RECURRENT_SNR_PREFACTOR * math.sqrt((p.t_mw + p.t1) * slot / p.t1)
+    return float(_etas(*astuple(p))[1])
 
 
 def eta_conventional(p: ProtocolParams) -> float:
     """Sensitivity of the single-readout-per-cycle protocol, sqrt(us)."""
-    return math.sqrt(p.t_mw + p.t_ro_conf + p.t_init_conf + p.t_d)
+    return float(_etas(*astuple(p))[2])
 
 
 def time_reduction_factor(eta_ratio: float) -> float:
@@ -73,13 +76,8 @@ class SensitivityResult:
 
     def __post_init__(self):
         for name in ("eta_lcqdm", "eta_leibold", "eta_conventional"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
-
-    @classmethod
-    def from_etas(cls, lc: float, leibold: float, conventional: float
-                  ) -> "SensitivityResult":
-        return cls(lc, leibold, conventional, leibold / lc, conventional / lc)
 
 
 def evaluate_point(model: PhotophysicsModel, i_conf: float, t_mw: float,
@@ -94,8 +92,8 @@ def evaluate_point(model: PhotophysicsModel, i_conf: float, t_mw: float,
         t_init_conf=init_time(model, i_conf),
         t_ro_conf=readout_time(model, i_conf),
         t_mw=t_mw, t_d=t_d, t1=t1)
-    return SensitivityResult.from_etas(
-        eta_lcqdm(p), eta_leibold(p), eta_conventional(p))
+    lc, leibold, conv = map(float, _etas(*astuple(p)))
+    return SensitivityResult(lc, leibold, conv, leibold / lc, conv / lc)
 
 
 @dataclass(frozen=True)
@@ -112,10 +110,12 @@ class SweepSpec:
     def __post_init__(self):
         _require_increasing("i_conf_grid", self.i_conf_grid)
         _require_increasing("t_mw_grid", self.t_mw_grid)
-        if self.t1 <= 0:
-            raise DomainError(f"t1 must be positive, got {self.t1}")
-        if self.t_d < 0:
-            raise DomainError(f"t_d must be >= 0, got {self.t_d}")
+        if not all(0 <= t < math.inf for t in self.t_mw_grid):
+            raise DomainError("t_mw_grid must be finite and >= 0")
+        if not 0 < self.t1 < math.inf:
+            raise DomainError(f"t1 must be finite and positive, got {self.t1}")
+        if not 0 <= self.t_d < math.inf:
+            raise DomainError(f"t_d must be finite and >= 0, got {self.t_d}")
         # Fails fast if i_ls is outside the model's fitted window.
         init_time(self.model, self.i_ls)
 
@@ -137,37 +137,40 @@ def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(10.0 ** (la + (lb - la) * k / (n - 1)) for k in range(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityGrid:
-    """Sweep output: cells[row][col] indexed (t_mw index, i_conf index).
+    """Sweep output: the five float arrays below are indexed [r, c], with row
+    r at spec.t_mw_grid[r] and column c at spec.i_conf_grid[c].
 
-    Cells where the intensity fell outside the model validity range are None,
-    with the reason kept in cell_errors.
+    Cells where the intensity fell outside the model validity range are nan
+    in all five, with the reason kept in cell_errors as (r, c, message).
     """
 
     spec: SweepSpec
-    cells: tuple[tuple[Optional[SensitivityResult], ...], ...]
+    eta_lcqdm: np.ndarray
+    eta_leibold: np.ndarray
+    eta_conventional: np.ndarray
+    ratio_leibold_over_lc: np.ndarray
+    ratio_conv_over_lc: np.ndarray
     cell_errors: tuple[tuple[int, int, str], ...]
 
     @property
+    def valid(self) -> np.ndarray:
+        return ~np.isnan(self.eta_lcqdm)
+
+    @property
     def n_valid(self) -> int:
-        return sum(1 for row in self.cells for c in row if c is not None)
+        return int(self.valid.sum())
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r, t_mw in enumerate(self.spec.t_mw_grid):
-            for c, i_conf in enumerate(self.spec.i_conf_grid):
-                cell = self.cells[r][c]
-                if cell is None:
-                    vals = ["nan"] * 5 + ["0"]
-                else:
-                    vals = [str(float(cell.eta_lcqdm)),
-                            str(float(cell.eta_leibold)),
-                            str(float(cell.eta_conventional)),
-                            str(float(cell.ratio_leibold_over_lc)),
-                            str(float(cell.ratio_conv_over_lc)),
-                            "1"]
-                lines.append(",".join([str(float(i_conf)), str(float(t_mw))] + vals))
+        t_mw, i_conf = np.meshgrid(self.spec.t_mw_grid, self.spec.i_conf_grid,
+                                   indexing="ij")
+        cols = (i_conf.astype(float), t_mw.astype(float),
+                self.eta_lcqdm, self.eta_leibold, self.eta_conventional,
+                self.ratio_leibold_over_lc, self.ratio_conv_over_lc,
+                self.valid.astype(int))
+        rows = zip(*(col.ravel().tolist() for col in cols))
+        lines = [CSV_HEADER, *(",".join(map(str, row)) for row in rows)]
         return "\n".join(lines) + "\n"
 
     def to_pgm(self, which: str = "conv_lc") -> str:
@@ -178,41 +181,35 @@ class SensitivityGrid:
         """
         if which not in ("conv_lc", "leibold_lc"):
             raise DomainError(f"unknown ratio map {which!r}")
-        pick = (lambda c: c.ratio_conv_over_lc) if which == "conv_lc" else (
-            lambda c: c.ratio_leibold_over_lc)
-        logs = [[math.log10(pick(c)) if c is not None else None for c in row]
-                for row in self.cells]
-        finite = [v for row in logs for v in row if v is not None]
-        lo = min(finite) if finite else 0.0
-        hi = max(finite) if finite else 1.0
+        logs = np.log10(self.ratio_conv_over_lc if which == "conv_lc"
+                        else self.ratio_leibold_over_lc)
+        finite = logs[self.valid]
+        lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 1.0)
         scale = 255.0 / (hi - lo) if hi > lo else 0.0
-        rows = []
-        for row in logs:
-            rows.append(" ".join(
-                "0" if v is None else str(int(round((v - lo) * scale)))
-                for v in row))
-        w = len(self.spec.i_conf_grid)
-        h = len(self.spec.t_mw_grid)
+        levels = np.where(self.valid, np.rint((logs - lo) * scale), 0).astype(int)
+        rows = [" ".join(map(str, row)) for row in levels.tolist()]
+        h, w = levels.shape
         return f"P2\n{w} {h}\n255\n" + "\n".join(rows) + "\n"
 
 
 def sweep(spec: SweepSpec) -> SensitivityGrid:
     """Evaluate the sensitivity comparison over the full grid.
 
-    Every cell is a pure function of the spec, so the output is identical
-    no matter how the cells are scheduled.  Out-of-range intensities mark
-    the cell invalid and the sweep continues.
+    The laser timescales are evaluated once per intensity; the formulas
+    then broadcast over the (t_mw, I_conf) mesh.  An out-of-range intensity
+    marks its column invalid and the sweep continues.
     """
-    rows = []
-    errors = []
-    for r, t_mw in enumerate(spec.t_mw_grid):
-        row: list[Optional[SensitivityResult]] = []
-        for c, i_conf in enumerate(spec.i_conf_grid):
-            try:
-                row.append(evaluate_point(
-                    spec.model, i_conf, t_mw, spec.i_ls, spec.t1, spec.t_d))
-            except OutOfRangeError as exc:
-                row.append(None)
-                errors.append((r, c, str(exc)))
-        rows.append(tuple(row))
-    return SensitivityGrid(spec, tuple(rows), tuple(errors))
+    t_init, t_ro = np.full((2, len(spec.i_conf_grid)), np.nan)
+    col_errors = []
+    for c, i_conf in enumerate(spec.i_conf_grid):
+        try:
+            t_init[c] = init_time(spec.model, i_conf)
+            t_ro[c] = readout_time(spec.model, i_conf)
+        except OutOfRangeError as exc:
+            col_errors.append((c, str(exc)))
+    t_mw = np.asarray(spec.t_mw_grid, dtype=float)[:, None]
+    lc, leibold, conv = _etas(init_time(spec.model, spec.i_ls), t_init, t_ro,
+                              t_mw, spec.t_d, spec.t1)
+    errors = tuple((r, c, msg) for r in range(len(spec.t_mw_grid))
+                   for c, msg in col_errors)
+    return SensitivityGrid(spec, lc, leibold, conv, leibold / lc, conv / lc, errors)

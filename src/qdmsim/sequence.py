@@ -128,18 +128,12 @@ def _slots_within(budget: float, slot: float) -> int:
 
 def recurrent_count_lcqdm(p: ProtocolParams) -> int:
     """Readouts that fit in t1 when each costs t_ro_conf + t_d; at least 1."""
-    slot = p.t_ro_conf + p.t_d
-    if slot <= 0:
-        raise DomainError("t_ro_conf + t_d must be positive")
-    return _slots_within(p.t1, slot)
+    return _slots_within(p.t1, p.t_ro_conf + p.t_d)
 
 
 def recurrent_count_leibold(p: ProtocolParams) -> int:
     """Readouts that fit in t1 when each also pays t_init_conf; at least 1."""
-    slot = p.t_ro_conf + p.t_init_conf + p.t_d
-    if slot <= 0:
-        raise DomainError("t_ro_conf + t_init_conf + t_d must be positive")
-    return _slots_within(p.t1, slot)
+    return _slots_within(p.t1, p.t_ro_conf + p.t_init_conf + p.t_d)
 
 
 def build_lcqdm_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:

@@ -112,6 +112,27 @@ class TestConfigParsing:
         assert cfg.intensity_conf() == 1.0
         assert parse_config(cfg.to_text()) == cfg
 
+    def test_hash_inside_value_is_kept(self):
+        text = default_config_text().replace("output_dir = out",
+                                             "output_dir = out#1  # run 1")
+        cfg = parse_config(text)
+        assert cfg.output_dir == "out#1"
+        assert parse_config(cfg.to_text()) == cfg
+
+    def test_hash_after_unit_is_config_error(self, tmp_path):
+        text = default_config_text().replace("t_d = 100 ns", "t_d = 100 ns#x")
+        with pytest.raises(ConfigError, match="unknown time unit 'ns#x'"):
+            parse_config(text)
+        path = tmp_path / "hash.cfg"
+        path.write_text(text)
+        assert run_cli("--config", str(path), "eval",
+                       "--out", str(tmp_path / "o")) == 1
+
+    def test_comment_after_whitespace_or_at_line_start(self):
+        text = default_config_text().replace("t_d = 100 ns",
+                                             "#t_d = 5 us\nt_d = 100 ns\t#x")
+        assert parse_config(text) == default_config()
+
     def test_derived_quantities(self):
         cfg = default_config()
         assert cfg.intensity_conf() == pytest.approx(2.0 / 0.2809, rel=1e-12)
@@ -289,6 +310,25 @@ class TestDeterministicOutputs:
                 "--out", str(out_b), "--seed", "2")
         assert ((out_a / "simulate_report.txt").read_text()
                 != (out_b / "simulate_report.txt").read_text())
+
+    def test_failed_rewrite_leaves_no_stale_manifest(self, tmp_path):
+        cfg_path = small_config(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("--config", str(cfg_path), "sweep", "--out", str(out),
+                       "--pgm") == 0
+        assert (out / "manifest.txt").exists()
+        blocker = out / "sweep_ratio_leibold_lc.pgm"
+        blocker.unlink()
+        blocker.mkdir()
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "sweep_points_i = 5", "sweep_points_i = 11"))
+        assert run_cli("--config", str(cfg_path), "sweep", "--out", str(out),
+                       "--pgm") == 3
+        # the new sweep.csv was written, so the old manifest must be gone
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 11 * 4
+        assert not (out / "manifest.txt").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "sweep.csv", "sweep_ratio_conv_lc.pgm", "sweep_ratio_leibold_lc.pgm"]
 
     def test_manifest_lists_every_output(self, tmp_path):
         cfg_path = small_config(tmp_path)

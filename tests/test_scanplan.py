@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 import qdmsim.scanplan
 from qdmsim import (AOMAxis, AOMCalibration, CONVENTIONAL, DomainError, LCQDM,
                     LEIBOLD, PhotophysicsModel, ProtocolParams, VoxelGrid,
-                    build_conventional_cycle, cycle_span_by_events, init_time,
-                    plan_acquisition, readout_time, recurrent_count_lcqdm,
-                    rf_for_voxel, speedup_report, voxel_for_rf)
+                    build_conventional_cycle, cycle_span_by_events,
+                    default_config, init_time, plan_acquisition, readout_time,
+                    recurrent_count_lcqdm, rf_for_voxel, speedup_report,
+                    voxel_for_rf)
 
 
 def make_params(t_init_ls=20.0, t_init_conf=20.0, t_ro=5.0, t_mw=100.0,
@@ -261,6 +263,25 @@ class TestRfMapping:
         with pytest.raises(IndexError):
             rf_for_voxel((4, 0, 0), g, default_cal())
 
+    def test_arrays_match_per_voxel_calls(self):
+        g = VoxelGrid(5, 3, 2, 0.7)
+        cal = default_cal()
+        ix, iy, iz = np.array([0, 4, 2]), np.array([0, 2, 1]), np.array([1, 0, 1])
+        columns = rf_for_voxel((ix, iy, iz), g, cal)
+        for k, voxel in enumerate(zip(ix.tolist(), iy.tolist(), iz.tolist())):
+            assert tuple(col[k] for col in columns) == rf_for_voxel(voxel, g, cal)
+
+    # one voxel of three lies outside the 4 x 4 x 2 grid along one axis
+    @pytest.mark.parametrize("axis, bad", [(0, 4), (0, -1), (1, 4), (1, -1),
+                                           (2, 2), (2, -1)])
+    def test_arrays_with_any_voxel_outside_grid(self, axis, bad):
+        g = VoxelGrid(4, 4, 2, 1.0)
+        voxels = [np.array([0, 1, 3]), np.array([0, 3, 2]), np.array([0, 1, 1])]
+        rf_for_voxel(voxels, g, default_cal())
+        voxels[axis][1] = bad
+        with pytest.raises(IndexError):
+            rf_for_voxel(voxels, g, default_cal())
+
     def test_zero_slope_rejected(self):
         with pytest.raises(DomainError):
             AOMAxis(80.0, 0.0)
@@ -297,6 +318,37 @@ class TestRfSchedule:
 
 
 class TestCsv:
+    # default timing on 40 x 40 x 4 with focus steps: 4 LCQDM, 5 Leibold
+    # and 6400 conventional cycles, some of them spanning plane boundaries
+    @pytest.mark.parametrize("tag", [LCQDM, LEIBOLD, CONVENTIONAL])
+    def test_csv_match_sequential_reference(self, tag):
+        cfg = default_config()
+        p, cal = cfg.protocol_params(), cfg.aom_calibration()
+        g = VoxelGrid(40, 40, 4, cfg.grid_pitch)
+        t_z = 50.0
+        plan = plan_acquisition(g, p, tag, cal=cal, t_z_step=t_z)
+
+        batch, overhead, slot = qdmsim.scanplan._cycle_layout(tag, p)
+        n, plane = g.n_voxels, g.nx * g.ny
+        lines = ["cycle,voxel_start,voxel_end,start_us,duration_us"]
+        start = 0.0
+        for i, v in enumerate(range(0, n, batch)):
+            last = min(v + batch, n) - 1
+            dur = overhead + (last - v + 1) * slot
+            dur += (t_z - p.t_d) * sum(
+                1 for u in range(v, last + 1)
+                if u + 1 < n and (u + 1) // plane != u // plane)
+            lines.append(f"{i},{v},{last},{start!r},{dur!r}")
+            start += dur
+        assert plan.cycles_csv() == "\n".join(lines) + "\n"
+
+        rows = ["voxel_x,voxel_y,voxel_z,f_sx_mhz,f_sy_mhz,f_dx_mhz,f_dy_mhz"]
+        for v in range(n):
+            voxel = g.coords(v)
+            freqs = rf_for_voxel(voxel, g, cal)
+            rows.append(",".join([*map(str, voxel), *map(repr, freqs)]))
+        assert plan.rf_csv() == "\n".join(rows) + "\n"
+
     def test_cycles_csv_header_and_rows(self):
         plan = plan_acquisition(VoxelGrid(10, 10, 1, 1.0), make_params(), LCQDM)
         lines = plan.cycles_csv().strip().split("\n")

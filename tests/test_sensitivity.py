@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdmsim import (DomainError, ProtocolParams,
+from qdmsim import (DomainError, OutOfRangeError, ProtocolParams,
                     RECURRENT_SNR_PREFACTOR, SensitivityResult, SweepSpec,
-                    eta_conventional, eta_lcqdm, eta_leibold, evaluate_point,
-                    init_time, log_grid, readout_time, sweep,
-                    time_reduction_factor)
+                    default_config_text, eta_conventional, eta_lcqdm,
+                    eta_leibold, evaluate_point, init_time, log_grid,
+                    parse_config, readout_time, sweep, time_reduction_factor)
 from qdmsim.sensitivity import CSV_HEADER
 
 
@@ -133,13 +134,12 @@ class TestSweep:
         spec = SweepSpec(i_conf_grid=(1.0,), t_mw_grid=(100.0,), i_ls=0.2,
                          model=model, t1=5000.0, t_d=0.1)
         grid = sweep(spec)
-        cell = grid.cells[0][0]
         p = make_params(t_init_ls=init_time(model, 0.2),
                         t_init_conf=init_time(model, 1.0),
                         t_ro=readout_time(model, 1.0))
-        assert cell.eta_lcqdm == eta_lcqdm(p)
-        assert cell.eta_leibold == eta_leibold(p)
-        assert cell.eta_conventional == eta_conventional(p)
+        assert grid.eta_lcqdm[0, 0] == eta_lcqdm(p)
+        assert grid.eta_leibold[0, 0] == eta_leibold(p)
+        assert grid.eta_conventional[0, 0] == eta_conventional(p)
 
     def test_reference_cell_ratio(self, model):
         cell = evaluate_point(model, 1.0, 1000.0, 0.2, 5000.0, 0.1)
@@ -159,9 +159,12 @@ class TestSweep:
         spec = SweepSpec(i_conf_grid=(0.5, 1.0, 12.0), t_mw_grid=(10.0,),
                          i_ls=0.2, model=model, t1=5000.0, t_d=0.1)
         grid = sweep(spec)
-        assert grid.cells[0][0] is not None
-        assert grid.cells[0][1] is not None
-        assert grid.cells[0][2] is None
+        assert grid.valid[0, 0]
+        assert grid.valid[0, 1]
+        assert not grid.valid[0, 2]
+        assert all(np.isnan(a[0, 2]) for a in (
+            grid.eta_lcqdm, grid.eta_leibold, grid.eta_conventional,
+            grid.ratio_leibold_over_lc, grid.ratio_conv_over_lc))
         assert grid.n_valid == 2
         assert grid.cell_errors[0][:2] == (0, 2)
 
@@ -202,6 +205,75 @@ class TestSweep:
         assert sweep(spec).to_csv() == sweep(spec).to_csv()
 
 
+def _sweep_spec(p_conf_max):
+    text = default_config_text().replace("p_conf_max = 2 mW",
+                                         f"p_conf_max = {p_conf_max}")
+    return parse_config(text).sweep_spec()
+
+
+def _reference_csv(spec):
+    """sweep.csv rebuilt cell by cell from evaluate_point."""
+    lines = [CSV_HEADER]
+    for t_mw in spec.t_mw_grid:
+        for i_conf in spec.i_conf_grid:
+            try:
+                cell = evaluate_point(spec.model, i_conf, t_mw, spec.i_ls,
+                                      spec.t1, spec.t_d)
+            except OutOfRangeError:
+                fields = [i_conf, t_mw] + ["nan"] * 5 + ["0"]
+            else:
+                fields = [i_conf, t_mw, cell.eta_lcqdm, cell.eta_leibold,
+                          cell.eta_conventional, cell.ratio_leibold_over_lc,
+                          cell.ratio_conv_over_lc, "1"]
+            lines.append(",".join(
+                f if isinstance(f, str) else str(float(f)) for f in fields))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_pgm(spec, which):
+    """P2 map rebuilt cell by cell with math.log10 and Python rounding."""
+    logs = []
+    for t_mw in spec.t_mw_grid:
+        row = []
+        for i_conf in spec.i_conf_grid:
+            try:
+                cell = evaluate_point(spec.model, i_conf, t_mw, spec.i_ls,
+                                      spec.t1, spec.t_d)
+            except OutOfRangeError:
+                row.append(None)
+                continue
+            ratio = (cell.ratio_conv_over_lc if which == "conv_lc"
+                     else cell.ratio_leibold_over_lc)
+            row.append(math.log10(ratio))
+        logs.append(row)
+    finite = [v for row in logs for v in row if v is not None]
+    lo, hi = min(finite), max(finite)
+    scale = 255.0 / (hi - lo)
+    rows = [" ".join("0" if v is None else str(int(round((v - lo) * scale)))
+                     for v in row) for row in logs]
+    return (f"P2\n{len(spec.i_conf_grid)} {len(spec.t_mw_grid)}\n255\n"
+            + "\n".join(rows) + "\n")
+
+
+class TestSweepMatchesPerCellReference:
+    # 3.5 mW puts the top intensities past the model validity window
+    @pytest.mark.parametrize("p_conf_max, n_invalid", [("2 mW", 0),
+                                                       ("3.5 mW", 122)])
+    def test_csv_text(self, p_conf_max, n_invalid):
+        spec = _sweep_spec(p_conf_max)
+        text = sweep(spec).to_csv()
+        assert text == _reference_csv(spec)
+        assert sum(ln.endswith(",0") for ln in text.splitlines()) == n_invalid
+        if n_invalid:
+            assert ",nan,nan,nan,nan,nan,0\n" in text
+
+    @pytest.mark.parametrize("p_conf_max", ["2 mW", "3.5 mW"])
+    @pytest.mark.parametrize("which", ["conv_lc", "leibold_lc"])
+    def test_pgm_text(self, p_conf_max, which):
+        spec = _sweep_spec(p_conf_max)
+        assert sweep(spec).to_pgm(which) == _reference_pgm(spec, which)
+
+
 class TestLogGrid:
     def test_endpoints_and_spacing(self):
         g = log_grid(0.01, 100.0, 5)
@@ -220,3 +292,7 @@ class TestLogGrid:
 def test_result_requires_positive_etas():
     with pytest.raises(DomainError):
         SensitivityResult(-1.0, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        SensitivityResult(math.nan, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        SensitivityResult(1.0, 1.0, math.nan, 1.0, 1.0)
