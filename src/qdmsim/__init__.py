@@ -25,8 +25,8 @@ from .sequence import (CALIBRATION, CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS,
                        recurrent_count_leibold, validate_sequence)
 from .sensitivity import (SensitivityGrid, SensitivityResult, SweepSpec,
                           RECURRENT_SNR_PREFACTOR, eta_conventional,
-                          eta_lcqdm, eta_leibold, evaluate_point, log_grid,
-                          sweep, time_reduction_factor)
+                          eta_exact, eta_lcqdm, eta_leibold, evaluate_point,
+                          log_grid, sweep, time_reduction_factor)
 from .calibration import (CalibrationTrace, ExtractedTimes, contrast,
                           extract_init_time, extract_readout_time,
                           extract_times, fit_log_quadratic, read_trace_csv,

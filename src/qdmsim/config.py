@@ -5,7 +5,9 @@ the start of a line or after whitespace, elsewhere it is part of the value.
 Dimensioned keys require a unit suffix and are converted to the canonical
 units (us, um, mW, mW/um^2, MHz, counts/us); dimensionless keys must not
 carry one.  Unknown and missing keys are rejected.  A config serializes
-back to canonical text that re-parses to an equal config.
+back to canonical text that re-parses to an equal config; a string value
+that text cannot carry (empty, multi-line, padded with whitespace or
+holding a comment marker) makes to_text raise ConfigError.
 """
 
 from __future__ import annotations
@@ -196,7 +198,12 @@ class RunConfig:
             if dim in (None, "int"):
                 lines.append(f"{f.name} = {value!r}")
             elif dim == "str":
-                lines.append(f"{f.name} = {value}")
+                line = f"{f.name} = {value}"
+                if (line.splitlines() != [line] or not value
+                        or _strip_comment(line).partition("=")[2].strip() != value):
+                    raise ConfigError(f"{f.name} = {value!r} would not parse "
+                                      f"back from config text")
+                lines.append(line)
             else:
                 lines.append(f"{f.name} = {value!r} {_CANONICAL_UNIT[dim]}")
         return "\n".join(lines) + "\n"
@@ -236,11 +243,15 @@ def _parse_value(key: str, raw: str, line_no: int):
     return value
 
 
+def _strip_comment(line: str) -> str:
+    return re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate config text into a RunConfig."""
     seen: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
+        line = _strip_comment(raw_line)
         if not line:
             continue
         if "=" not in line:

@@ -5,23 +5,33 @@ a generator of synthetic calibration traces.  One shared photon model is
 used everywhere: a readout window of length t_ro at intensity I collects
 
     reference counts ~ Poisson(mu),            mu = photon_flux(I) * t_ro
-    signal counts    ~ Poisson(mu * (1 - c0 * s))
+    signal counts    ~ Poisson(mu * (1 - c0 * a * s_k))
 
-where s = exp(-tau / t1) is the remaining signal amplitude tau
-microseconds after the MW block (spin relaxation erases the encoded
-information exponentially).  Each window yields the normalized estimate
-x = (ref - sig) / (mu * c0) with expectation s; a cycle's estimate is the
-inverse-variance-weighted mean of its windows, and
+where a is the encoded signal amplitude (1 unless stated) and
+s_k = exp(-k * slot / t1) the part of it left at the k-th of the cycle's W
+readouts, which opens k * slot after the MW block (spin relaxation erases
+the encoded information exponentially).  A cycle's estimate is the
+unweighted mean of its windows' (ref - sig) / mu.  It depends on the counts
+only through their two totals, and Poisson counts add, so each trial draws
+just those sufficient statistics:
 
-    eta_empirical = sqrt(cycle_span / readouts_per_cycle) / mean(estimate)
+    sum ref ~ Poisson(W * mu),   sum sig ~ Poisson(mu * sum_k (1 - c0 * a * s_k))
 
-averaged over n_trials independent cycles.
+and estimates (sum ref - sum sig) / (W * mu), with expectation
+c0 * a * mean_k s_k.  sum_k s_k is a geometric series summed in closed
+form, so a trial costs two draws and no per-window array at any W.  Over
+n_trials independent cycles
 
-Determinism contract: every trial draws from its own PCG64 generator
-seeded by SeedSequence((master_seed, trial_index)) (numpy's named,
-version-stable bit generator), and trials are reduced in index order, so
-results are bitwise identical for a given master seed regardless of how
-many workers computed them.
+    eta_empirical = sqrt(cycle_span / W) * c0 / mean(estimate),
+
+whose noiseless value is sensitivity.eta_exact.
+
+Determinism contract: trial t belongs to block t // TRIAL_BLOCK.  Each
+block draws from its own PCG64 generator (numpy's named, version-stable
+bit generator) seeded by SeedSequence((master_seed, block)), first the
+block's reference totals, then its signal totals.  The block size is fixed,
+so results are bitwise identical for a given master seed and trial count
+regardless of how many workers computed the blocks.
 """
 
 from __future__ import annotations
@@ -36,12 +46,20 @@ import numpy as np
 from .calibration import CalibrationTrace, extract_times, fit_log_quadratic
 from .errors import DomainError
 from .photophysics import LogQuadraticCurve, PhotophysicsModel, contrast_at_delay, photon_flux
-from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, MW_BLOCK, ProtocolParams,
-                       PulseSequence, build_conventional_cycle,
-                       build_lcqdm_cycle, build_leibold_cycle)
+from .sensitivity import readout_decay_sum
+from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, ProtocolParams,
+                       build_conventional_cycle, build_lcqdm_cycle,
+                       build_leibold_cycle, cycle_layout)
 
 # Width of the PL sampling bin used when generating calibration traces, us.
 CALIBRATION_BIN_US = 1.0
+
+#: Trials per generator; fixed so that the streams do not depend on workers.
+TRIAL_BLOCK = 1024
+
+# Largest expected photon total per cycle; numpy's Poisson sampler rejects
+# means above about 9.2e18.
+_MAX_PHOTONS_PER_CYCLE = 1e18
 
 
 @dataclass(frozen=True)
@@ -64,7 +82,7 @@ class SimOutcome:
     readouts_per_cycle: int
     cycle_time: float
     protocol_tag: str
-    signal_mean: float     # weighted mean contrast estimate, expectation c0 * <s>
+    signal_mean: float     # mean contrast estimate, expectation c0 * a * mean_k s_k
     signal_stderr: float
     n_trials: int
     warnings: tuple[str, ...] = ()
@@ -77,17 +95,6 @@ _BUILDERS = {
 }
 
 
-def _readout_delays(seq: PulseSequence) -> np.ndarray:
-    """Start of each readout window, measured from the end of the MW block."""
-    mw_end = max(e.end for e in seq.events if e.kind == MW_BLOCK)
-    return np.array([w.start - mw_end for w in seq.windows()], dtype=float)
-
-
-def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((master_seed, trial))))
-
-
 def simulate_protocol(cfg: SimConfig, protocol_tag: str,
                       noiseless: bool = False, workers: int = 1,
                       signal_amplitude: float = 1.0,
@@ -98,16 +105,14 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
     limit), leaving only the deterministic amplitude-decay accounting.
     signal_amplitude scales the encoded signal; 0 gives a null measurement
     whose estimate must be statistically consistent with zero.
-    workers > 1 computes trials on a thread pool; the outcome is bitwise
-    identical to the serial run.  If trial_etas_out is given, the
+    workers > 1 computes trial blocks on a thread pool; the outcome is
+    bitwise identical to the serial run.  If trial_etas_out is given, the
     per-trial eta values are appended to it.
     """
     if protocol_tag not in _BUILDERS:
         raise DomainError(f"unknown protocol {protocol_tag!r}")
-    seq = _BUILDERS[protocol_tag](cfg.params)
-    delays = _readout_delays(seq)
-    n_windows = delays.size
-    span = seq.span()
+    n_windows, overhead, slot = cycle_layout(protocol_tag, cfg.params)
+    span = overhead + n_windows * slot
     t_per_voxel = span / n_windows
 
     c0 = cfg.model.c0
@@ -115,35 +120,35 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
     if mu <= 0:
         raise DomainError("expected photon count per window is zero; "
                           "raise i_conf or t_ro_conf")
-    s = np.exp(-delays / cfg.params.t1)
-    # Inverse-variance weights from the exact per-window counting variance
-    # Var[(ref - sig)/mu] = (2 - c0 * a * s) / mu; constant factors cancel.
-    weights = 1.0 / (2.0 - c0 * signal_amplitude * s)
-    weights /= weights.sum()
-    # Signal and reference window means, concatenated so one Poisson call
-    # per trial covers both; the matching dot weights carry the signs of
-    # sum(w * (ref - sig)) / mu.
-    lam = np.concatenate([mu * (1.0 - c0 * signal_amplitude * s),
-                          np.full(n_windows, mu)])
-    dot_w = np.concatenate([-weights, weights]) / mu
+    encoded = c0 * signal_amplitude * readout_decay_sum(
+        n_windows, slot, cfg.params.t1)
+    lam_ref = n_windows * mu
+    lam_sig = mu * (n_windows - encoded)
+    if not lam_ref <= _MAX_PHOTONS_PER_CYCLE:
+        raise DomainError(f"{lam_ref:.3g} expected photons per cycle "
+                          f"({n_windows} readouts) exceed the Poisson "
+                          f"sampler's range")
 
     n = cfg.n_trials
     estimates = np.empty(n, dtype=float)
     if noiseless:
-        estimates[:] = float(np.dot(weights, c0 * signal_amplitude * s))
+        estimates[:] = encoded / n_windows
     else:
-        def run_block(lo: int, hi: int) -> None:
-            for t in range(lo, hi):
-                rng = _trial_rng(cfg.master_seed, t)
-                estimates[t] = np.dot(dot_w, rng.poisson(lam))
+        def run_block(block: int) -> None:
+            lo = block * TRIAL_BLOCK
+            size = min(TRIAL_BLOCK, n - lo)
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence((cfg.master_seed, block))))
+            ref = rng.poisson(lam_ref, size)
+            estimates[lo:lo + size] = (ref - rng.poisson(lam_sig, size)) / lam_ref
 
+        blocks = range(-(-n // TRIAL_BLOCK))
         if workers <= 1:
-            run_block(0, n)
+            for block in blocks:
+                run_block(block)
         else:
-            step = -(-n // workers)
-            bounds = [(i, min(i + step, n)) for i in range(0, n, step)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda b: run_block(*b), bounds))
+                list(pool.map(run_block, blocks))
 
     signal_mean = float(np.mean(estimates))
     warnings: tuple[str, ...] = ()

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, ProtocolParams,
                        build_conventional_cycle, build_lcqdm_cycle,
-                       build_leibold_cycle, recurrent_count_lcqdm,
-                       recurrent_count_leibold)
+                       build_leibold_cycle, cycle_layout)
 
 
 @dataclass(frozen=True)
@@ -164,20 +163,6 @@ class ScanPlan:
         return "\n".join(lines) + "\n"
 
 
-def _cycle_layout(protocol_tag: str, p: ProtocolParams
-                  ) -> tuple[int, float, float]:
-    """(max voxels per cycle, per-cycle overhead us, per-voxel slot us)."""
-    if protocol_tag == LCQDM:
-        return (recurrent_count_lcqdm(p), p.t_init_ls + p.t_mw,
-                p.t_ro_conf + p.t_d)
-    if protocol_tag == LEIBOLD:
-        return (recurrent_count_leibold(p), p.t_mw,
-                p.t_ro_conf + p.t_init_conf + p.t_d)
-    if protocol_tag == CONVENTIONAL:
-        return (1, p.t_init_conf + p.t_mw, p.t_ro_conf + p.t_d)
-    raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
-
-
 def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
                 t_z_step: Optional[float] = None) -> float:
     """End of the last cycle in us, in closed form.
@@ -186,7 +171,7 @@ def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     partial * slot, and each of the nz - 1 focus steps replaces one dead
     time t_d with t_z_step.
     """
-    batch, overhead, slot = _cycle_layout(protocol_tag, p)
+    batch, overhead, slot = cycle_layout(protocol_tag, p)
     if t_z_step is not None and t_z_step < 0:
         raise DomainError(f"t_z_step must be >= 0, got {t_z_step}")
     full, partial = divmod(grid.n_voxels, batch)
@@ -208,7 +193,7 @@ def plan_acquisition(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     default is the ordinary steering dead time.
     """
     total = _scan_total(grid, p, protocol_tag, t_z_step)
-    batch, overhead, slot = _cycle_layout(protocol_tag, p)
+    batch, overhead, slot = cycle_layout(protocol_tag, p)
     n = grid.n_voxels
     plane = grid.nx * grid.ny
     extra_z = 0.0 if t_z_step is None else t_z_step - p.t_d

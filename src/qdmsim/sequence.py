@@ -120,7 +120,11 @@ class PulseSequence:
 def _slots_within(budget: float, slot: float) -> int:
     # floor(budget / slot), corrected downward when the float quotient
     # rounded up across an integer; n * slot <= budget is the contract.
-    n = math.floor(budget / slot)
+    quotient = budget / slot
+    if not math.isfinite(quotient):
+        raise DomainError(f"t1 / slot overflows ({budget!r} us / {slot!r} us); "
+                          "the recurrent readout count is unbounded")
+    n = math.floor(quotient)
     while n > 1 and n * slot > budget:
         n -= 1
     return max(1, n)
@@ -134,6 +138,24 @@ def recurrent_count_lcqdm(p: ProtocolParams) -> int:
 def recurrent_count_leibold(p: ProtocolParams) -> int:
     """Readouts that fit in t1 when each also pays t_init_conf; at least 1."""
     return _slots_within(p.t1, p.t_ro_conf + p.t_init_conf + p.t_d)
+
+
+def cycle_layout(protocol_tag: str, p: ProtocolParams
+                 ) -> tuple[int, float, float]:
+    """(readouts per full cycle, per-cycle overhead us, per-readout slot us).
+
+    A cycle of n readouts spans overhead + n * slot, and its k-th readout
+    window opens k * slot after the end of the MW block.
+    """
+    if protocol_tag == LCQDM:
+        return (recurrent_count_lcqdm(p), p.t_init_ls + p.t_mw,
+                p.t_ro_conf + p.t_d)
+    if protocol_tag == LEIBOLD:
+        return (recurrent_count_leibold(p), p.t_mw,
+                p.t_ro_conf + p.t_init_conf + p.t_d)
+    if protocol_tag == CONVENTIONAL:
+        return (1, p.t_init_conf + p.t_mw, p.t_ro_conf + p.t_d)
+    raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
 
 
 def build_lcqdm_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -117,6 +118,18 @@ class TestConfigParsing:
                                              "output_dir = out#1  # run 1")
         cfg = parse_config(text)
         assert cfg.output_dir == "out#1"
+        assert parse_config(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("value", ["out #1", "out\t#x", "out\nx", " out",
+                                       "out ", ""])
+    def test_to_text_rejects_value_that_would_not_round_trip(self, value):
+        cfg = dataclasses.replace(default_config(), output_dir=value)
+        with pytest.raises(ConfigError, match="would not parse back"):
+            cfg.to_text()
+
+    @pytest.mark.parametrize("value", ["out#1", "out 1", "a=b"])
+    def test_to_text_round_trips_string_values(self, value):
+        cfg = dataclasses.replace(default_config(), output_dir=value)
         assert parse_config(cfg.to_text()) == cfg
 
     def test_hash_after_unit_is_config_error(self, tmp_path):
@@ -272,6 +285,18 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("usage error:")
+
+    @pytest.mark.parametrize("command", ["simulate", "plan"])
+    def test_overflowing_recurrent_count_is_domain_error(self, tmp_path, command):
+        # t_ro_conf about 5e-301 us against t1 = 1e300 us
+        cfg_path = small_config(tmp_path, **{
+            "readout_a = 0.7": "readout_a = -300", "t_d = 100 ns": "t_d = 0 ns",
+            "t1 = 5 ms": "t1 = 1e300 us"})
+        proc = run_module("--config", str(cfg_path), command, "--protocol",
+                          "lcqdm", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("domain error:")
 
     def test_flat_contrast_trace_is_domain_error(self, tmp_path):
         path = tmp_path / "flat.csv"

@@ -1,18 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from qdmsim import (CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
-                    ProtocolParams, SimConfig,
+                    ProtocolParams, SimConfig, build_leibold_cycle,
                     contrast_at_delay, contrast, end_to_end_pipeline,
-                    eta_conventional, eta_lcqdm, eta_leibold,
+                    eta_conventional, eta_exact, eta_lcqdm, eta_leibold,
                     extract_init_time, init_time, photon_flux, readout_time,
                     recurrent_count_lcqdm, recurrent_count_leibold,
                     simulate_calibration, simulate_protocol)
+from qdmsim.montecarlo import TRIAL_BLOCK
+from qdmsim.sequence import MW_BLOCK, cycle_layout
 
 ANALYTIC = {LCQDM: eta_lcqdm, LEIBOLD: eta_leibold, CONVENTIONAL: eta_conventional}
+
+# The acceptance-criterion-5 spots: (protocol, I_conf mW/um^2, t_mw us).
+CRITERION_5_SPOTS = [
+    (LCQDM, 1.0, 100.0),
+    (LCQDM, 0.0712, 1000.0),
+    (LEIBOLD, 1.0, 100.0),
+    (LEIBOLD, 0.1, 10.0),
+    (CONVENTIONAL, 7.1199715201139185, 1000.0),
+]
 
 
 def params_at(model, i_conf, t_mw=100.0, i_ls=0.2, t1=5000.0, t_d=0.1):
@@ -43,13 +55,29 @@ class TestDeterminism:
         for workers in (2, 3, 8):
             assert simulate_protocol(cfg, LEIBOLD, workers=workers) == serial
 
+    def test_block_boundaries_irrelevant_to_workers(self, model):
+        cfg = sim_config(model, 1.0, 2 * TRIAL_BLOCK + 3)
+        runs = {}
+        for workers in (1, 2, 3, 8):
+            trials = []
+            runs[workers] = (simulate_protocol(cfg, LCQDM, workers=workers,
+                                               trial_etas_out=trials), trials)
+        for workers in (2, 3, 8):
+            assert runs[workers] == runs[1]
+        # each block draws from its own stream
+        trials = runs[1][1]
+        assert trials[:3] != trials[TRIAL_BLOCK:TRIAL_BLOCK + 3]
+        assert trials[:3] != trials[2 * TRIAL_BLOCK:]
+
     def test_single_trial_reproducible(self, model):
         cfg = sim_config(model, 1.0, 1)
         a = simulate_protocol(cfg, CONVENTIONAL)
         b = simulate_protocol(cfg, CONVENTIONAL)
         assert a == b
-        assert a.eta_stderr == 0.0
-        assert a.warnings  # stderr unavailable is reported, not fatal
+        # stderr unavailable is reported, not fatal
+        assert a.signal_stderr == 0.0
+        assert "n_trials too small to estimate a standard error" in a.warnings
+        assert a.eta_stderr == (0.0 if a.signal_mean > 0 else math.inf)
 
 
 class TestNoiselessClosedForm:
@@ -57,13 +85,12 @@ class TestNoiselessClosedForm:
         cfg = sim_config(model, 1.0, 3)
         out = simulate_protocol(cfg, LCQDM, noiseless=True)
         p = cfg.params
-        # independent accounting of the cycle and the weighted decay mean
+        # independent accounting of the cycle and the unweighted decay mean
         n = recurrent_count_lcqdm(p)
         slot = p.t_ro_conf + p.t_d
         span = p.t_init_ls + p.t_mw + n * slot
         s = np.exp(-(np.arange(n) * slot) / p.t1)
-        w = 1.0 / (2.0 - model.c0 * s)
-        expected = math.sqrt(span / n) / (np.sum(w * s) / np.sum(w))
+        expected = math.sqrt(span / n) / np.mean(s)
         assert out.eta_empirical == pytest.approx(expected, rel=1e-6)
         assert out.readouts_per_cycle == n
         assert out.cycle_time == pytest.approx(span, rel=1e-12)
@@ -71,7 +98,7 @@ class TestNoiselessClosedForm:
     def test_lcqdm_frozen_value(self, model):
         # frozen from a 40-digit evaluation of the same accounting
         out = simulate_protocol(sim_config(model, 1.0, 1), LCQDM, noiseless=True)
-        assert out.eta_empirical == pytest.approx(3.61593367135, rel=1e-9)
+        assert out.eta_empirical == pytest.approx(3.61877483845, rel=1e-9)
 
     def test_conventional_noiseless_equals_analytic(self, model):
         cfg = sim_config(model, 1.0, 1)
@@ -85,6 +112,104 @@ class TestNoiselessClosedForm:
         out = simulate_protocol(cfg, LEIBOLD, noiseless=True)
         gap = abs(out.eta_empirical - eta_leibold(cfg.params)) / eta_leibold(cfg.params)
         assert gap < 0.09
+
+
+class TestExactOracle:
+    def test_lcqdm_frozen_value(self, model):
+        # 40-digit mpmath sum over the 978 readouts of this cycle
+        assert eta_exact(params_at(model, 1.0), LCQDM) == pytest.approx(
+            3.61877483845, rel=1e-9)
+
+    @pytest.mark.parametrize("protocol,i_conf,t_mw", CRITERION_5_SPOTS)
+    def test_closed_form_matches_window_sum(self, model, protocol, i_conf, t_mw):
+        p = params_at(model, i_conf, t_mw=t_mw)
+        n, overhead, slot = cycle_layout(protocol, p)
+        s = np.exp(-(np.arange(n) * slot) / p.t1)
+        direct = math.sqrt((overhead + n * slot) / n) / np.mean(s)
+        assert eta_exact(p, protocol) == pytest.approx(direct, rel=1e-12)
+        out = simulate_protocol(sim_config(model, i_conf, 1, t_mw=t_mw),
+                                protocol, noiseless=True)
+        assert out.eta_empirical == pytest.approx(eta_exact(p, protocol),
+                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("protocol,i_conf,t_mw", CRITERION_5_SPOTS)
+    def test_monte_carlo_within_four_sigma(self, model, protocol, i_conf, t_mw):
+        cfg = sim_config(model, i_conf, 100_000, seed=417, t_mw=t_mw)
+        out = simulate_protocol(cfg, protocol)
+        exact = eta_exact(cfg.params, protocol)
+        assert abs(out.eta_empirical - exact) <= 4 * out.eta_stderr
+
+    def test_paper_prefactor_gap(self, model):
+        # readouts filling t1 with no overhead: the mean amplitude is 1 - 1/e,
+        # the paper's prefactor uses the endpoint average (1 + 1/e) / 2
+        p = ProtocolParams(t_init_ls=0.0, t_init_conf=0.0, t_ro_conf=1e-3,
+                           t_mw=0.0, t_d=0.0, t1=1000.0)
+        gap = (1 + math.exp(-1)) / (2 * (1 - math.exp(-1)))
+        assert gap == pytest.approx(1.0820, abs=5e-5)
+        for protocol, paper in ((LCQDM, eta_lcqdm), (LEIBOLD, eta_leibold)):
+            assert eta_exact(p, protocol) / paper(p) == pytest.approx(gap, rel=1e-5)
+        assert eta_exact(p, CONVENTIONAL) == pytest.approx(
+            eta_conventional(p), rel=1e-12)
+
+
+def reference_estimates(cfg, n_trials, seed):
+    """Per-window sampler: 2W Poisson draws per trial, unweighted mean of
+    (ref - sig) / mu, with the delays read off the built Leibold timeline."""
+    p, model = cfg.params, cfg.model
+    seq = build_leibold_cycle(p)
+    mw_end = max(e.end for e in seq.events if e.kind == MW_BLOCK)
+    s = np.exp(-np.array([w.start - mw_end for w in seq.windows()]) / p.t1)
+    mu = photon_flux(model, cfg.i_conf) * p.t_ro_conf
+    rng = np.random.default_rng(seed)
+    ref = rng.poisson(mu, (n_trials, s.size))
+    sig = rng.poisson(mu * (1.0 - model.c0 * s), (n_trials, s.size))
+    return (ref - sig).mean(axis=1) / mu, s, mu
+
+
+class TestSufficientStatistics:
+    def test_matches_per_window_sampler_at_small_w(self, model):
+        n = 20_000
+        cfg = sim_config(model, 0.1, n, seed=5)
+        out = simulate_protocol(cfg, LEIBOLD)
+        ref, s, mu = reference_estimates(cfg, n, seed=6)
+        w = s.size
+        assert w == out.readouts_per_cycle == 83
+        c0 = model.c0
+        exact_mean = c0 * np.mean(s)
+        exact_var = np.sum(2.0 - c0 * s) / (w * w * mu)
+        new_var = out.signal_stderr ** 2 * n
+        ref_var = np.var(ref, ddof=1)
+        se_mean = math.sqrt(exact_var / n)
+        se_var = exact_var * math.sqrt(2.0 / (n - 1))
+        assert abs(out.signal_mean - exact_mean) <= 4 * se_mean
+        assert abs(np.mean(ref) - exact_mean) <= 4 * se_mean
+        assert abs(out.signal_mean - np.mean(ref)) <= 4 * math.sqrt(2) * se_mean
+        assert abs(new_var - exact_var) <= 4 * se_var
+        assert abs(ref_var - exact_var) <= 4 * se_var
+        assert abs(new_var - ref_var) <= 4 * math.sqrt(2) * se_var
+
+    def test_billion_windows_without_per_window_arrays(self, model):
+        p = ProtocolParams(t_init_ls=1.0, t_init_conf=1.0, t_ro_conf=1e-3,
+                           t_mw=10.0, t_d=0.0, t1=1e6)
+        cfg = SimConfig(params=p, model=model, i_conf=1.0, n_trials=200,
+                        master_seed=3)
+        tracemalloc.start()
+        try:
+            out = simulate_protocol(cfg, LCQDM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.readouts_per_cycle == recurrent_count_lcqdm(p) >= 999_999_999
+        assert peak < 1 << 20
+        assert abs(out.eta_empirical - eta_exact(p, LCQDM)) <= 4 * out.eta_stderr
+
+    def test_photon_total_beyond_sampler_range_is_domain_error(self, model):
+        p = ProtocolParams(t_init_ls=1.0, t_init_conf=1.0, t_ro_conf=1e-3,
+                           t_mw=10.0, t_d=0.0, t1=1e20)
+        cfg = SimConfig(params=p, model=model, i_conf=1.0, n_trials=2,
+                        master_seed=3)
+        with pytest.raises(DomainError, match="Poisson"):
+            simulate_protocol(cfg, LCQDM)
 
 
 class TestConsistencyWithSequence:

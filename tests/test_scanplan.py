@@ -10,6 +10,7 @@ from qdmsim import (AOMAxis, AOMCalibration, CONVENTIONAL, DomainError, LCQDM,
                     default_config, init_time, plan_acquisition, readout_time,
                     recurrent_count_lcqdm, rf_for_voxel, speedup_report,
                     voxel_for_rf)
+from qdmsim.sequence import cycle_layout
 
 
 def make_params(t_init_ls=20.0, t_init_conf=20.0, t_ro=5.0, t_mw=100.0,
@@ -328,7 +329,7 @@ class TestCsv:
         t_z = 50.0
         plan = plan_acquisition(g, p, tag, cal=cal, t_z_step=t_z)
 
-        batch, overhead, slot = qdmsim.scanplan._cycle_layout(tag, p)
+        batch, overhead, slot = cycle_layout(tag, p)
         n, plane = g.n_voxels, g.nx * g.ny
         lines = ["cycle,voxel_start,voxel_end,start_us,duration_us"]
         start = 0.0

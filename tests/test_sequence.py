@@ -50,6 +50,13 @@ class TestRecurrentCounts:
         assert recurrent_count_lcqdm(p) == 1
         assert recurrent_count_leibold(p) == 1
 
+    def test_overflowing_count_is_domain_error(self):
+        p = make_params(t_init_conf=0.0, t_ro=1e-300, t_d=0.0, t1=1e300)
+        with pytest.raises(DomainError, match="overflows"):
+            recurrent_count_lcqdm(p)
+        with pytest.raises(DomainError, match="overflows"):
+            recurrent_count_leibold(p)
+
     @given(param_strategy)
     def test_lcqdm_never_below_leibold(self, p):
         assert recurrent_count_lcqdm(p) >= recurrent_count_leibold(p)
