@@ -11,18 +11,29 @@ sequence:
 * Conventional - initialize, MW, read a single voxel; repeat per voxel.
 * Calibration  - signal/reference PL sample pair at a swept laser-on delay.
 
-A sequence is an ordered list of timed events.  Readout windows in the
-recurrent protocols double as the confocal dwell itself (the steering beam
-parks on the voxel exactly for the readout); a separate ConfocalLaserPulse
-event appears only where the laser serves another role (reinitialization,
-conventional init, calibration).
+A sequence is stored as four numpy columns in event order: `kind` (int8
+code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
+(int64, -1 for none).  The builders fill them with strided assignments,
+the validator and the reductions (span, duty cycle) work on them directly,
+and `SequenceEvent` rows are made only on demand (`events`, `windows()`,
+`PulseSequence.from_events` for hand-built timelines).  A sequence holds at
+most MAX_EVENTS events; a larger cycle is a DomainError raised before any
+column is allocated, and its totals come from `cycle_layout` instead.
+
+Readout windows in the recurrent protocols double as the confocal dwell
+itself (the steering beam parks on the voxel exactly for the readout); a
+separate ConfocalLaserPulse event appears only where the laser serves
+another role (reinitialization, conventional init, calibration).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -39,6 +50,10 @@ READOUT_WINDOW = "ReadoutWindow"
 DEAD_TIME = "DeadTime"
 EVENT_KINDS = (LIGHT_SHEET_PULSE, CONFOCAL_LASER_PULSE, MW_BLOCK,
                READOUT_WINDOW, DEAD_TIME)
+_LS, _LASER, _MW, _WINDOW, _DEAD = range(len(EVENT_KINDS))
+
+# Largest sequence that may be materialized (about 250 MB of columns).
+MAX_EVENTS = 10**7
 
 # Relative slack for float comparisons on accumulated event times.
 _TIME_RTOL = 1e-9
@@ -68,53 +83,126 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class SequenceEvent:
+    """One row of a PulseSequence, made on demand; checked when a sequence
+    is built from rows (PulseSequence.from_events)."""
+
     kind: str
     start: float
     duration: float
     voxel_index: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.start < 0 or self.duration < 0:
-            raise DomainError(
-                f"event times must be >= 0, got start={self.start}, "
-                f"duration={self.duration}")
-        if self.voxel_index is not None and self.voxel_index < 0:
-            raise DomainError(f"voxel_index must be >= 0, got {self.voxel_index}")
 
     @property
     def end(self) -> float:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSequence:
-    events: tuple[SequenceEvent, ...]
+    """An event timeline as four equal-length columns in event order.
+
+    The sequence takes the column arrays over and makes them read-only.
+    """
+
+    kind: np.ndarray      # int8 code indexing EVENT_KINDS
+    start: np.ndarray     # float64 us
+    duration: np.ndarray  # float64 us
+    voxel: np.ndarray     # int64 voxel index, -1 for none
     protocol_tag: str
 
     def __post_init__(self):
         if self.protocol_tag not in (*PROTOCOLS, CALIBRATION):
             raise DomainError(f"unknown protocol tag {self.protocol_tag!r}")
+        kind = np.asarray(self.kind)
+        if kind.ndim != 1 or kind.dtype.kind not in "iu":
+            raise DomainError("event kinds must be a 1-D integer column")
+        if ((kind < 0) | (kind >= len(EVENT_KINDS))).any():
+            raise DomainError(f"event kind codes must index {EVENT_KINDS}")
+        cols = (kind.astype(np.int8, copy=False),
+                np.asarray(self.start, np.float64),
+                np.asarray(self.duration, np.float64),
+                np.asarray(self.voxel, np.int64))
+        if any(c.shape != kind.shape for c in cols):
+            raise DomainError("sequence columns must have equal length")
+        kind, start, duration, voxel = cols
+        bad = np.flatnonzero(~(np.isfinite(start) & np.isfinite(duration)
+                               & (start >= 0) & (duration >= 0)))
+        if bad.size:
+            i = bad[0]
+            raise DomainError(
+                f"event {i} times must be finite and >= 0, got "
+                f"start={float(start[i])}, duration={float(duration[i])}")
+        if (voxel < -1).any():
+            raise DomainError(f"voxel indices must be >= 0 (or -1 for none), "
+                              f"got {int(voxel.min())}")
+        for name, col in zip(("kind", "start", "duration", "voxel"), cols):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_events(cls, events: Iterable[SequenceEvent],
+                    protocol_tag: str) -> PulseSequence:
+        """Sequence from rows, e.g. a hand-built or edited timeline."""
+        events = tuple(events)
+        codes = []
+        for e in events:
+            if e.kind not in EVENT_KINDS:
+                raise DomainError(f"unknown event kind {e.kind!r}")
+            if e.voxel_index is not None and e.voxel_index < 0:
+                raise DomainError(f"voxel_index must be >= 0, got {e.voxel_index}")
+            codes.append(EVENT_KINDS.index(e.kind))
+        return cls(np.array(codes, np.int8),
+                   np.array([e.start for e in events], np.float64),
+                   np.array([e.duration for e in events], np.float64),
+                   np.array([-1 if e.voxel_index is None else e.voxel_index
+                             for e in events], np.int64),
+                   protocol_tag)
+
+    def __eq__(self, other):
+        if not isinstance(other, PulseSequence):
+            return NotImplemented
+        return (self.protocol_tag == other.protocol_tag
+                and np.array_equal(self.kind, other.kind)
+                and np.array_equal(self.start, other.start)
+                and np.array_equal(self.duration, other.duration)
+                and np.array_equal(self.voxel, other.voxel))
+
+    def __repr__(self) -> str:
+        return f"PulseSequence({self.protocol_tag!r}, {self.kind.size} events)"
+
+    @property
+    def events(self) -> tuple[SequenceEvent, ...]:
+        return self._rows(slice(None))
+
+    def windows(self) -> tuple[SequenceEvent, ...]:
+        return self._rows(self.kind == _WINDOW)
+
+    def _rows(self, sel) -> tuple[SequenceEvent, ...]:
+        return tuple(
+            SequenceEvent(EVENT_KINDS[k], s, d, None if v < 0 else v)
+            for k, s, d, v in zip(self.kind[sel].tolist(), self.start[sel].tolist(),
+                                  self.duration[sel].tolist(), self.voxel[sel].tolist()))
 
     def span(self) -> float:
         """Total extent in us, from the earliest start to the latest end."""
-        if not self.events:
+        if not self.kind.size:
             return 0.0
-        return max(e.end for e in self.events) - min(e.start for e in self.events)
-
-    def windows(self) -> tuple[SequenceEvent, ...]:
-        return tuple(e for e in self.events if e.kind == READOUT_WINDOW)
+        return float((self.start + self.duration).max() - self.start.min())
 
     def to_text(self) -> str:
         """Line-oriented timeline: `kind start_us duration_us [voxel]`."""
-        lines = []
-        for e in self.events:
-            cols = [e.kind, str(float(e.start)), str(float(e.duration))]
-            if e.voxel_index is not None:
-                cols.append(str(e.voxel_index))
-            lines.append(" ".join(cols))
+        lines = [f"{EVENT_KINDS[k]} {s!r} {d!r}" + (f" {v}" if v >= 0 else "")
+                 for k, s, d, v in zip(self.kind.tolist(), self.start.tolist(),
+                                       self.duration.tolist(), self.voxel.tolist())]
         return "\n".join(lines) + "\n"
+
+
+def _empty_columns(n_events: int, protocol_tag: str):
+    if n_events > MAX_EVENTS:
+        raise DomainError(
+            f"a {protocol_tag} cycle of {n_events} events exceeds the "
+            f"{MAX_EVENTS} a sequence may hold; use cycle_layout for its totals")
+    return (np.empty(n_events, np.int8), np.empty(n_events), np.empty(n_events),
+            np.full(n_events, -1, np.int64))
 
 
 def _slots_within(budget: float, slot: float) -> int:
@@ -165,43 +253,46 @@ def build_lcqdm_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> Pu
     partial cycle that ends a scan.
     """
     n = _resolve_count(n_readouts, recurrent_count_lcqdm(p))
-    events = [
-        SequenceEvent(LIGHT_SHEET_PULSE, 0.0, p.t_init_ls),
-        SequenceEvent(MW_BLOCK, p.t_init_ls, p.t_mw),
-    ]
-    base = p.t_init_ls + p.t_mw
-    slot = p.t_ro_conf + p.t_d
-    for k in range(n):
-        start = base + k * slot
-        events.append(SequenceEvent(READOUT_WINDOW, start, p.t_ro_conf, k))
-        events.append(SequenceEvent(DEAD_TIME, start + p.t_ro_conf, p.t_d))
-    return PulseSequence(tuple(events), LCQDM)
+    kind, start, duration, voxel = _empty_columns(2 + 2 * n, LCQDM)
+    kind[:2] = (_LS, _MW)
+    start[:2] = (0.0, p.t_init_ls)
+    duration[:2] = (p.t_init_ls, p.t_mw)
+    k = np.arange(n)
+    window_start = (p.t_init_ls + p.t_mw) + k * (p.t_ro_conf + p.t_d)
+    kind[2::2], start[2::2], duration[2::2], voxel[2::2] = (
+        _WINDOW, window_start, p.t_ro_conf, k)
+    kind[3::2], start[3::2], duration[3::2] = (
+        _DEAD, window_start + p.t_ro_conf, p.t_d)
+    return PulseSequence(kind, start, duration, voxel, LCQDM)
 
 
 def build_leibold_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:
     """One recurrent readout+reinit cycle: MW block, then per voxel a readout
     window inside a laser dwell that continues for the reinitialization."""
     n = _resolve_count(n_readouts, recurrent_count_leibold(p))
-    events = [SequenceEvent(MW_BLOCK, 0.0, p.t_mw)]
-    slot = p.t_ro_conf + p.t_init_conf + p.t_d
+    kind, start, duration, voxel = _empty_columns(1 + 3 * n, LEIBOLD)
+    kind[0], start[0], duration[0] = _MW, 0.0, p.t_mw
     dwell = p.t_ro_conf + p.t_init_conf
-    for k in range(n):
-        start = p.t_mw + k * slot
-        events.append(SequenceEvent(READOUT_WINDOW, start, p.t_ro_conf, k))
-        events.append(SequenceEvent(CONFOCAL_LASER_PULSE, start, dwell, k))
-        events.append(SequenceEvent(DEAD_TIME, start + dwell, p.t_d))
-    return PulseSequence(tuple(events), LEIBOLD)
+    k = np.arange(n)
+    window_start = p.t_mw + k * (p.t_ro_conf + p.t_init_conf + p.t_d)
+    kind[1::3], start[1::3], duration[1::3], voxel[1::3] = (
+        _WINDOW, window_start, p.t_ro_conf, k)
+    kind[2::3], start[2::3], duration[2::3], voxel[2::3] = (
+        _LASER, window_start, dwell, k)
+    kind[3::3], start[3::3], duration[3::3] = (
+        _DEAD, window_start + dwell, p.t_d)
+    return PulseSequence(kind, start, duration, voxel, LEIBOLD)
 
 
 def build_conventional_cycle(p: ProtocolParams) -> PulseSequence:
     """Single-voxel cycle: init pulse, MW block, one readout, dead time."""
-    events = (
-        SequenceEvent(CONFOCAL_LASER_PULSE, 0.0, p.t_init_conf),
-        SequenceEvent(MW_BLOCK, p.t_init_conf, p.t_mw),
-        SequenceEvent(READOUT_WINDOW, p.t_init_conf + p.t_mw, p.t_ro_conf, 0),
-        SequenceEvent(DEAD_TIME, p.t_init_conf + p.t_mw + p.t_ro_conf, p.t_d),
-    )
-    return PulseSequence(events, CONVENTIONAL)
+    return PulseSequence(
+        np.array([_LASER, _MW, _WINDOW, _DEAD], np.int8),
+        np.array([0.0, p.t_init_conf, p.t_init_conf + p.t_mw,
+                  p.t_init_conf + p.t_mw + p.t_ro_conf]),
+        np.array([p.t_init_conf, p.t_mw, p.t_ro_conf, p.t_d]),
+        np.array([-1, -1, 0, -1], np.int64),
+        CONVENTIONAL)
 
 
 def build_calibration_sequence(p: ProtocolParams, t_sweep: float) -> PulseSequence:
@@ -211,24 +302,27 @@ def build_calibration_sequence(p: ProtocolParams, t_sweep: float) -> PulseSequen
     has no pulse applied inside it), then the laser back on with an
     instantaneous readout sample at offset t_sweep.
     """
-    if t_sweep < 0:
-        raise DomainError(f"t_sweep must be >= 0, got {t_sweep}")
-    events = []
-    half = p.t_init_conf + t_sweep + p.t_ro_conf
-    for h in range(2):  # 0 = signal, 1 = reference
-        t0 = h * half
-        events.append(SequenceEvent(CONFOCAL_LASER_PULSE, t0, p.t_init_conf, 0))
-        events.append(SequenceEvent(MW_BLOCK, t0 + p.t_init_conf, 0.0))
-        events.append(SequenceEvent(
-            CONFOCAL_LASER_PULSE, t0 + p.t_init_conf, t_sweep + p.t_ro_conf, 0))
-        events.append(SequenceEvent(
-            READOUT_WINDOW, t0 + p.t_init_conf + t_sweep, 0.0, 0))
-    return PulseSequence(tuple(events), CALIBRATION)
+    if not (math.isfinite(t_sweep) and t_sweep >= 0):
+        raise DomainError(f"t_sweep must be finite and >= 0, got {t_sweep}")
+    # rows: 0 = signal half, 1 = reference half
+    t0 = np.array([[0.0], [p.t_init_conf + t_sweep + p.t_ro_conf]])
+    laser_on = t0 + p.t_init_conf
+    return PulseSequence(
+        np.tile(np.array([_LASER, _MW, _LASER, _WINDOW], np.int8), 2),
+        np.hstack([t0, laser_on, laser_on, laser_on + t_sweep]).ravel(),
+        np.tile([p.t_init_conf, 0.0, t_sweep + p.t_ro_conf, 0.0], 2),
+        np.tile(np.array([0, -1, 0, 0], np.int64), 2),
+        CALIBRATION)
 
 
 def _resolve_count(requested: Optional[int], default: int) -> int:
     if requested is None:
         return default
+    try:
+        requested = operator.index(requested)
+    except TypeError:
+        raise DomainError(
+            f"n_readouts must be an integer, got {requested!r}") from None
     if requested < 1 or requested > default:
         raise DomainError(
             f"n_readouts must be in [1, {default}], got {requested}")
@@ -259,38 +353,42 @@ def validate_sequence(seq: PulseSequence, p: ProtocolParams) -> ValidationReport
     violations: list[str] = []
     warnings: list[str] = []
 
+    start, voxel = seq.start, seq.voxel
+    end = start + seq.duration
     tol = _TIME_RTOL * max(1.0, seq.span())
-    prev_start = -math.inf
-    for i, e in enumerate(seq.events):
-        if e.start < prev_start - tol:
-            violations.append(f"event {i} starts at {e.start} before event {i - 1}")
-        prev_start = e.start
+    for i in (np.flatnonzero(start[1:] < start[:-1] - tol) + 1).tolist():
+        violations.append(f"event {i} starts at {float(start[i])} before event {i - 1}")
 
-    pulses_by_voxel: dict[Optional[int], list[SequenceEvent]] = {}
-    for e in seq.events:
-        if e.kind == CONFOCAL_LASER_PULSE:
-            pulses_by_voxel.setdefault(e.voxel_index, []).append(e)
-    for i, e in enumerate(seq.events):
-        if e.kind != READOUT_WINDOW:
-            continue
-        matching = pulses_by_voxel.get(e.voxel_index)
-        if not matching:
-            continue  # self-dwelling window
-        if not any(q.start - tol <= e.start and e.end <= q.end + tol
-                   for q in matching):
-            violations.append(
-                f"readout window (event {i}) lies outside every laser pulse "
-                f"for voxel {e.voxel_index}")
+    # Pulses grouped by voxel (event order kept within a voxel); each window
+    # is paired with every pulse of its voxel and needs one that holds it.
+    pulses = np.flatnonzero(seq.kind == _LASER)
+    pulses = pulses[np.argsort(voxel[pulses], kind="stable")]
+    windows = np.flatnonzero(seq.kind == _WINDOW)
+    pulse_voxel = voxel[pulses]
+    lo = np.searchsorted(pulse_voxel, voxel[windows], side="left")
+    count = np.searchsorted(pulse_voxel, voxel[windows], side="right") - lo
+    total = int(count.sum())
+    pair_window = np.repeat(windows, count)
+    first_pair = np.cumsum(count) - count
+    pair_pulse = pulses[np.repeat(lo - first_pair, count) + np.arange(total)]
+    holds = ((start[pair_pulse] - tol <= start[pair_window])
+             & (end[pair_window] <= end[pair_pulse] + tol))
+    held = np.zeros(len(start), bool)
+    held[pair_window[holds]] = True
+    for i in windows[(count > 0) & ~held[windows]].tolist():
+        v = int(voxel[i])
+        violations.append(
+            f"readout window (event {i}) lies outside every laser pulse "
+            f"for voxel {v if v >= 0 else None}")
 
     if seq.protocol_tag in (LCQDM, LEIBOLD):
-        mw_ends = [e.end for e in seq.events if e.kind == MW_BLOCK]
-        windows = seq.windows()
-        if mw_ends and windows:
-            recurrent_span = max(w.end for w in windows) - max(mw_ends)
+        mw_ends = end[seq.kind == _MW]
+        if mw_ends.size and windows.size:
+            recurrent_span = float(end[windows].max() - mw_ends.max())
             if recurrent_span > p.t1 * (1 + _TIME_RTOL):
                 msg = (f"recurrent span {recurrent_span:.6g} us exceeds "
                        f"t1 = {p.t1:.6g} us")
-                if len(windows) == 1:
+                if windows.size == 1:
                     warnings.append(msg + " (single clamped readout)")
                 else:
                     violations.append(msg)
@@ -303,4 +401,4 @@ def duty_cycle(seq: PulseSequence) -> float:
     total = seq.span()
     if total <= 0:
         return 0.0
-    return sum(w.duration for w in seq.windows()) / total
+    return float(seq.duration[seq.kind == _WINDOW].sum()) / total

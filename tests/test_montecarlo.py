@@ -13,7 +13,8 @@ from qdmsim import (CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     recurrent_count_lcqdm, recurrent_count_leibold,
                     simulate_calibration, simulate_protocol)
 from qdmsim.montecarlo import TRIAL_BLOCK
-from qdmsim.sequence import MW_BLOCK, cycle_layout
+from qdmsim.sequence import (EVENT_KINDS, MW_BLOCK, READOUT_WINDOW,
+                             cycle_layout)
 
 ANALYTIC = {LCQDM: eta_lcqdm, LEIBOLD: eta_leibold, CONVENTIONAL: eta_conventional}
 
@@ -157,8 +158,9 @@ def reference_estimates(cfg, n_trials, seed):
     (ref - sig) / mu, with the delays read off the built Leibold timeline."""
     p, model = cfg.params, cfg.model
     seq = build_leibold_cycle(p)
-    mw_end = max(e.end for e in seq.events if e.kind == MW_BLOCK)
-    s = np.exp(-np.array([w.start - mw_end for w in seq.windows()]) / p.t1)
+    mw_end = (seq.start + seq.duration)[seq.kind == EVENT_KINDS.index(MW_BLOCK)].max()
+    window_start = seq.start[seq.kind == EVENT_KINDS.index(READOUT_WINDOW)]
+    s = np.exp(-(window_start - mw_end) / p.t1)
     mu = photon_flux(model, cfg.i_conf) * p.t_ro_conf
     rng = np.random.default_rng(seed)
     ref = rng.poisson(mu, (n_trials, s.size))
