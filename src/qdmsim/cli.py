@@ -9,8 +9,11 @@ The plan report's total_time_us is the requested protocol's scan time
 including focus steps (t_z_step); total_<protocol>_us and both speedup
 ratios compare the three protocols without them.
 
-Exit codes: 0 success, 1 config/usage error, 2 domain or numeric error,
-3 I/O error.
+Each command is declared once, in _build_parser, bound to its handler;
+the handler adds its own inputs beyond config and seed to the digest.
+
+Exit codes: 0 success, 1 config/usage error, 2 domain or numeric error or
+not enough memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -48,57 +51,54 @@ def _build_parser() -> _Parser:
                         help="config file (omit to use built-in defaults)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **flags):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", metavar="DIR",
                        help="output directory (default: config output_dir)")
         p.add_argument("--seed", type=int, help="override master_seed")
-        for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
         return p
 
-    add("eval", "sensitivities of all three protocols at one point")
-    add("sweep", "comparison grid over (I_conf, t_mw), written as CSV",
-        **{"--pgm": dict(action="store_true",
-                         help="also write P2 graymap heatmaps of the ratios")})
-    add("simulate", "shot-noise Monte Carlo estimate of one protocol",
-        **{"--protocol": dict(required=True,
-                              choices=sorted(_PROTOCOL_BY_NAME)),
-           "--trials": dict(type=int, help="override n_trials"),
-           "--dump-trials": dict(action="store_true",
-                                 help="write per-trial eta values as CSV")})
-    add("calibrate", "extract t_ro / t_init from a delay-sweep trace CSV",
-        **{"--trace": dict(required=True, metavar="PATH"),
-           "--intensity": dict(type=float, metavar="MW_PER_UM2",
-                               help="trace intensity (default: config I_conf)"),
-           "--mode": dict(choices=["averaged", "instantaneous"],
-                          default="averaged")})
-    add("plan", "full-grid acquisition schedule and AOM RF table",
-        **{"--protocol": dict(required=True,
-                              choices=sorted(_PROTOCOL_BY_NAME))})
+    protocols = sorted(_PROTOCOL_BY_NAME)
+    add("eval", _cmd_eval, "sensitivities of all three protocols at one point")
+    p = add("sweep", _cmd_sweep,
+            "comparison grid over (I_conf, t_mw), written as CSV")
+    p.add_argument("--pgm", action="store_true",
+                   help="also write P2 graymap heatmaps of the ratios")
+    p = add("simulate", _cmd_simulate,
+            "shot-noise Monte Carlo estimate of one protocol")
+    p.add_argument("--protocol", required=True, choices=protocols)
+    p.add_argument("--trials", type=int, help="override n_trials")
+    p.add_argument("--dump-trials", action="store_true",
+                   help="write per-trial eta values as CSV")
+    p = add("calibrate", _cmd_calibrate,
+            "extract t_ro / t_init from a delay-sweep trace CSV")
+    p.add_argument("--trace", required=True, metavar="PATH")
+    p.add_argument("--intensity", type=float, metavar="MW_PER_UM2",
+                   help="trace intensity (default: config I_conf)")
+    p.add_argument("--mode", choices=["averaged", "instantaneous"],
+                   default="averaged")
+    p = add("plan", _cmd_plan, "full-grid acquisition schedule and AOM RF table")
+    p.add_argument("--protocol", required=True, choices=protocols)
     return parser
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 class _Run:
     """Collects output files, then writes them and, last, the manifest."""
 
     def __init__(self, command: str, cfg: RunConfig, cfg_text: str,
-                 out_dir: Path, seed: int, extra_inputs: list[str]):
+                 out_dir: Path, seed: int):
         self.command = command
         self.cfg = cfg
         self.seed = seed
         self.out_dir = out_dir
-        digest = hashlib.sha256()
-        digest.update(cfg_text.encode())
-        digest.update(f"\ncommand={command}\nseed={seed}\n".encode())
-        for item in extra_inputs:
-            digest.update(item.encode())
-        self.input_digest = digest.hexdigest()
+        self._inputs = hashlib.sha256(
+            f"{cfg_text}\ncommand={command}\nseed={seed}\n".encode())
         self.files: dict[str, str] = {}
+
+    def add_input(self, text: str) -> None:
+        """Fold a command's own input, beyond config and seed, into the digest."""
+        self._inputs.update(text.encode())
 
     def add(self, name: str, text: str) -> None:
         self.files[name] = text
@@ -110,13 +110,14 @@ class _Run:
         manifest = [
             f"command = {self.command}",
             f"qdmsim_version = {__version__}",
-            f"inputs_sha256 = {self.input_digest}",
+            f"inputs_sha256 = {self._inputs.hexdigest()}",
             f"master_seed = {self.seed}",
         ]
         for name in sorted(self.files):
             data = self.files[name].encode()
             (self.out_dir / name).write_bytes(data)
-            manifest.append(f"output {name} sha256 {_sha256(data)}")
+            digest = hashlib.sha256(data).hexdigest()
+            manifest.append(f"output {name} sha256 {digest}")
         tmp = manifest_path.with_suffix(".tmp")
         tmp.write_text("\n".join(manifest) + "\n")
         tmp.replace(manifest_path)
@@ -156,6 +157,7 @@ def _cmd_sweep(run: _Run, args) -> str:
 
 
 def _cmd_simulate(run: _Run, args) -> str:
+    run.add_input(f"protocol={args.protocol} trials={args.trials}")
     cfg = run.cfg
     protocol = _PROTOCOL_BY_NAME[args.protocol]
     n_trials = args.trials if args.trials is not None else cfg.n_trials
@@ -184,6 +186,7 @@ def _cmd_simulate(run: _Run, args) -> str:
 
 def _cmd_calibrate(run: _Run, args) -> str:
     text = Path(args.trace).read_text()
+    run.add_input(text)
     intensity = args.intensity if args.intensity is not None \
         else run.cfg.intensity_conf()
     trace = read_trace_csv(text, intensity)
@@ -202,6 +205,7 @@ def _cmd_calibrate(run: _Run, args) -> str:
 
 
 def _cmd_plan(run: _Run, args) -> str:
+    run.add_input(f"protocol={args.protocol}")
     cfg = run.cfg
     protocol = _PROTOCOL_BY_NAME[args.protocol]
     grid = cfg.voxel_grid()
@@ -226,15 +230,6 @@ def _cmd_plan(run: _Run, args) -> str:
     return report
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "calibrate": _cmd_calibrate,
-    "plan": _cmd_plan,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -247,15 +242,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = parse_config(cfg_text)
         seed = args.seed if args.seed is not None else cfg.master_seed
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
-        extra = []
-        if args.command == "calibrate":
-            extra = [Path(args.trace).read_text()]
-        elif args.command == "simulate":
-            extra = [f"protocol={args.protocol} trials={args.trials}"]
-        elif args.command == "plan":
-            extra = [f"protocol={args.protocol}"]
-        run = _Run(args.command, cfg, cfg_text, out_dir, seed, extra)
-        summary = _COMMANDS[args.command](run, args)
+        run = _Run(args.command, cfg, cfg_text, out_dir, seed)
+        summary = args.handler(run, args)
         run.flush()
         sys.stdout.write(summary)
         return 0
@@ -267,6 +255,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"memory error: {str(exc) or 'not enough memory'}",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

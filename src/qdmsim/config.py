@@ -4,17 +4,22 @@ Config text is line oriented: `key = value [unit]`; `#` starts a comment at
 the start of a line or after whitespace, elsewhere it is part of the value.
 Dimensioned keys require a unit suffix and are converted to the canonical
 units (us, um, mW, mW/um^2, MHz, counts/us); dimensionless keys must not
-carry one.  Unknown and missing keys are rejected.  A config serializes
-back to canonical text that re-parses to an equal config; a string value
-that text cannot carry (empty, multi-line, padded with whitespace or
-holding a comment marker) makes to_text raise ConfigError.
+carry one.  Unknown and missing keys are rejected, and so is a sweep of
+more than MAX_SWEEP_CELLS cells.  A config serializes back to canonical
+text that re-parses to an equal config; a string value that text cannot
+carry (empty, multi-line, padded with whitespace or holding a comment
+marker) makes to_text raise ConfigError.
+
+Each key is declared once, as a RunConfig field whose `_key(...)` metadata
+gives its dimension, whether it is required and whether it must be >= 0;
+parsing, validation and to_text all read those fields.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError, DomainError
@@ -35,105 +40,64 @@ _UNITS = {
     "frequency": {"kHz": 1e-3, "MHz": 1.0, "GHz": 1e3},
     "freq_slope": {"kHz/um": 1e-3, "MHz/um": 1.0},
 }
-_CANONICAL_UNIT = {
-    "time": "us", "length": "um", "power": "mW", "intensity": "mW/um2",
-    "rate": "counts/us", "frequency": "MHz", "freq_slope": "MHz/um",
-}
+_CANONICAL_UNIT = {dim: next(u for u, f in factors.items() if f == 1.0)
+                   for dim, factors in _UNITS.items()}
+# Cells a config may ask the sweep for, checked before any grid is built.
+MAX_SWEEP_CELLS = 10**7
 
-# key -> (dimension, required, nonnegative).  dimension None = bare number,
-# "int" = bare integer, "str" = raw string.
-_SCHEMA: dict[str, tuple[Optional[str], bool, bool]] = {
-    "l_y": ("length", True, True),
-    "d_ls": ("length", True, True),
-    "p_ls": ("power", True, True),
-    "delta_conf": ("length", True, True),
-    "p_conf": ("power", True, True),
-    "p_conf_min": ("power", True, True),
-    "p_conf_max": ("power", True, True),
-    "i_ls": ("intensity", False, True),
-    "i_conf": ("intensity", False, True),
-    "t_d": ("time", True, True),
-    "t_mw": ("time", True, True),
-    "t1": ("time", True, True),
-    "t_z_step": ("time", False, True),
-    "init_a": (None, True, False),
-    "init_b": (None, True, False),
-    "init_c": (None, True, False),
-    "readout_a": (None, True, False),
-    "readout_b": (None, True, False),
-    "readout_c": (None, True, False),
-    "i_sat": ("intensity", True, True),
-    "r_max": ("rate", True, True),
-    "c0": (None, True, False),
-    "i_valid_min": ("intensity", False, True),
-    "i_valid_max": ("intensity", False, True),
-    "t_mw_min": ("time", True, True),
-    "t_mw_max": ("time", True, True),
-    "sweep_points_i": ("int", True, True),
-    "sweep_points_t": ("int", True, True),
-    "grid_nx": ("int", True, True),
-    "grid_ny": ("int", True, True),
-    "grid_nz": ("int", True, True),
-    "grid_pitch": ("length", True, True),
-    "aom_scan_x_f0": ("frequency", True, True),
-    "aom_scan_x_slope": ("freq_slope", True, False),
-    "aom_scan_y_f0": ("frequency", True, True),
-    "aom_scan_y_slope": ("freq_slope", True, False),
-    "aom_descan_x_f0": ("frequency", True, True),
-    "aom_descan_x_slope": ("freq_slope", True, False),
-    "aom_descan_y_f0": ("frequency", True, True),
-    "aom_descan_y_slope": ("freq_slope", True, False),
-    "n_trials": ("int", True, True),
-    "master_seed": ("int", True, True),
-    "output_dir": ("str", True, False),
-}
+
+def _key(dim: Optional[str], *, required: bool = True, nonneg: bool = True):
+    """Declare a config key: its dimension (a _UNITS key, None for a bare
+    number, "int" for a bare integer, "str" for a raw string), whether the
+    text must set it, and whether its value must be >= 0."""
+    return field(metadata={"dim": dim, "required": required, "nonneg": nonneg})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    l_y: float
-    d_ls: float
-    p_ls: float
-    delta_conf: float
-    p_conf: float
-    p_conf_min: float
-    p_conf_max: float
-    i_ls: Optional[float]
-    i_conf: Optional[float]
-    t_d: float
-    t_mw: float
-    t1: float
-    t_z_step: Optional[float]
-    init_a: float
-    init_b: float
-    init_c: float
-    readout_a: float
-    readout_b: float
-    readout_c: float
-    i_sat: float
-    r_max: float
-    c0: float
-    i_valid_min: Optional[float]
-    i_valid_max: Optional[float]
-    t_mw_min: float
-    t_mw_max: float
-    sweep_points_i: int
-    sweep_points_t: int
-    grid_nx: int
-    grid_ny: int
-    grid_nz: int
-    grid_pitch: float
-    aom_scan_x_f0: float
-    aom_scan_x_slope: float
-    aom_scan_y_f0: float
-    aom_scan_y_slope: float
-    aom_descan_x_f0: float
-    aom_descan_x_slope: float
-    aom_descan_y_f0: float
-    aom_descan_y_slope: float
-    n_trials: int
-    master_seed: int
-    output_dir: str
+    l_y: float = _key("length")
+    d_ls: float = _key("length")
+    p_ls: float = _key("power")
+    delta_conf: float = _key("length")
+    p_conf: float = _key("power")
+    p_conf_min: float = _key("power")
+    p_conf_max: float = _key("power")
+    i_ls: Optional[float] = _key("intensity", required=False)
+    i_conf: Optional[float] = _key("intensity", required=False)
+    t_d: float = _key("time")
+    t_mw: float = _key("time")
+    t1: float = _key("time")
+    t_z_step: Optional[float] = _key("time", required=False)
+    init_a: float = _key(None, nonneg=False)
+    init_b: float = _key(None, nonneg=False)
+    init_c: float = _key(None, nonneg=False)
+    readout_a: float = _key(None, nonneg=False)
+    readout_b: float = _key(None, nonneg=False)
+    readout_c: float = _key(None, nonneg=False)
+    i_sat: float = _key("intensity")
+    r_max: float = _key("rate")
+    c0: float = _key(None, nonneg=False)
+    i_valid_min: Optional[float] = _key("intensity", required=False)
+    i_valid_max: Optional[float] = _key("intensity", required=False)
+    t_mw_min: float = _key("time")
+    t_mw_max: float = _key("time")
+    sweep_points_i: int = _key("int")
+    sweep_points_t: int = _key("int")
+    grid_nx: int = _key("int")
+    grid_ny: int = _key("int")
+    grid_nz: int = _key("int")
+    grid_pitch: float = _key("length")
+    aom_scan_x_f0: float = _key("frequency")
+    aom_scan_x_slope: float = _key("freq_slope", nonneg=False)
+    aom_scan_y_f0: float = _key("frequency")
+    aom_scan_y_slope: float = _key("freq_slope", nonneg=False)
+    aom_descan_x_f0: float = _key("frequency")
+    aom_descan_x_slope: float = _key("freq_slope", nonneg=False)
+    aom_descan_y_f0: float = _key("frequency")
+    aom_descan_y_slope: float = _key("freq_slope", nonneg=False)
+    n_trials: int = _key("int")
+    master_seed: int = _key("int")
+    output_dir: str = _key("str", nonneg=False)
 
     # -- derived objects ------------------------------------------------
 
@@ -170,6 +134,10 @@ class RunConfig:
     def sweep_spec(self) -> SweepSpec:
         i_lo = confocal_intensity(self.p_conf_min, self.delta_conf)
         i_hi = confocal_intensity(self.p_conf_max, self.delta_conf)
+        cells = self.sweep_points_i * self.sweep_points_t
+        if cells > MAX_SWEEP_CELLS:
+            raise DomainError(f"sweep of {cells} cells exceeds "
+                              f"MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
         return SweepSpec(
             i_conf_grid=log_grid(i_lo, i_hi, self.sweep_points_i),
             t_mw_grid=log_grid(self.t_mw_min, self.t_mw_max, self.sweep_points_t),
@@ -194,7 +162,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            dim = _SCHEMA[f.name][0]
+            dim = f.metadata["dim"]
             if dim in (None, "int"):
                 lines.append(f"{f.name} = {value!r}")
             elif dim == "str":
@@ -209,33 +177,31 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+_KEYS = {f.name: f.metadata for f in fields(RunConfig)}
+
+
 def _parse_value(key: str, raw: str, line_no: int):
-    dim, _, nonneg = _SCHEMA[key]
+    dim, nonneg = _KEYS[key]["dim"], _KEYS[key]["nonneg"]
     if dim == "str":
         return raw
     parts = raw.split()
-    if dim in (None, "int"):
-        if len(parts) != 1:
-            raise ConfigError(
-                f"line {line_no}: {key} is dimensionless, got {raw!r}")
-        try:
-            value = int(parts[0]) if dim == "int" else float(parts[0])
-        except ValueError:
-            raise ConfigError(f"line {line_no}: bad number {parts[0]!r}") from None
-    else:
-        if len(parts) != 2:
-            raise ConfigError(
-                f"line {line_no}: {key} needs `<number> <unit>`, got {raw!r}")
-        try:
-            number = float(parts[0])
-        except ValueError:
-            raise ConfigError(f"line {line_no}: bad number {parts[0]!r}") from None
+    if dim in (None, "int") and len(parts) != 1:
+        raise ConfigError(
+            f"line {line_no}: {key} is dimensionless, got {raw!r}")
+    if dim not in (None, "int") and len(parts) != 2:
+        raise ConfigError(
+            f"line {line_no}: {key} needs `<number> <unit>`, got {raw!r}")
+    try:
+        value = int(parts[0]) if dim == "int" else float(parts[0])
+    except ValueError:
+        raise ConfigError(f"line {line_no}: bad number {parts[0]!r}") from None
+    if len(parts) == 2:
         factors = _UNITS[dim]
         if parts[1] not in factors:
             raise ConfigError(
                 f"line {line_no}: unknown {dim} unit {parts[1]!r}; "
                 f"expected one of {sorted(factors)}")
-        value = number * factors[parts[1]]
+        value *= factors[parts[1]]
     if not isinstance(value, int) and not math.isfinite(value):
         raise ConfigError(f"line {line_no}: {key} must be finite")
     if nonneg and value < 0:
@@ -258,7 +224,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected `key = value`")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -266,15 +232,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: empty value for {key!r}")
         seen[key] = _parse_value(key, raw, line_no)
 
-    missing = [k for k, (_, required, _) in _SCHEMA.items()
-               if required and k not in seen]
+    missing = [k for k, meta in _KEYS.items()
+               if meta["required"] and k not in seen]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    for key, (_, required, _) in _SCHEMA.items():
-        if not required:
-            seen.setdefault(key, None)
 
-    cfg = RunConfig(**seen)  # type: ignore[arg-type]
+    cfg = RunConfig(**{key: seen.get(key) for key in _KEYS})
     try:
         cfg.model()
         cfg.protocol_params()

@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
+import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qdmsim
 
@@ -101,6 +106,21 @@ class TestConfigParsing:
         text = default_config_text().replace("c0 = 0.03", "c0 = 1.5")
         with pytest.raises(ConfigError, match="invariant"):
             parse_config(text)
+
+    def test_oversized_sweep_rejected_before_grids_are_built(self):
+        text = default_config_text().replace("sweep_points_i = 61",
+                                             f"sweep_points_i = {10**12}")
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ConfigError, match="invariant.*sweep"):
+                parse_config(text)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 2**20
 
     def test_roundtrip(self):
         cfg = default_config()
@@ -298,6 +318,16 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("domain error:")
 
+    def test_refused_allocation_is_exit_2(self, tmp_path):
+        # 10**15 float64 estimates are 8 PB, beyond any 64-bit user address
+        # space, so the allocation is refused at once and touches no memory
+        proc = run_module("simulate", "--protocol", "conventional",
+                          "--trials", str(10**15), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("memory error:")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_flat_contrast_trace_is_domain_error(self, tmp_path):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{t}.0,0.97,1.0" for t in range(10))
@@ -363,3 +393,136 @@ class TestDeterministicOutputs:
         for p in out.iterdir():
             if p.name != "manifest.txt":
                 assert f"output {p.name} sha256" in manifest
+
+
+class TestInputDigest:
+    """manifest inputs_sha256 = sha256(config text, command, seed, extra input)."""
+
+    @pytest.mark.parametrize("argv, extra", [
+        (("eval",), ""),
+        (("sweep", "--pgm"), ""),
+        (("simulate", "--protocol", "leibold", "--trials", "7"),
+         "protocol=leibold trials=7"),
+        (("simulate", "--protocol", "lcqdm"), "protocol=lcqdm trials=None"),
+        (("plan", "--protocol", "conventional"), "protocol=conventional"),
+        (("calibrate", "--trace", "TRACE"), "TRACE"),
+    ])
+    def test_digest_per_command(self, tmp_path, model, argv, extra):
+        cfg_path = small_config(tmp_path)
+        cfg_text = cfg_path.read_text()
+        trace_path = tmp_path / "trace.csv"
+        trace_text = trace_to_csv(simulate_calibration(
+            model, 1.0, np.linspace(0.0, 12.0, 50), 1, seed=3, noiseless=True))
+        trace_path.write_text(trace_text)
+        argv = [str(trace_path) if a == "TRACE" else a for a in argv]
+        extra = trace_text if extra == "TRACE" else extra
+        out = tmp_path / "o"
+        assert run_cli("--config", str(cfg_path), *argv, "--seed", "11",
+                       "--out", str(out)) == 0
+        expected = hashlib.sha256(
+            (cfg_text + f"\ncommand={argv[0]}\nseed=11\n" + extra).encode())
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"inputs_sha256 = {expected.hexdigest()}" in manifest
+
+    def test_calibrate_reads_trace_once(self, tmp_path, model, monkeypatch):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(trace_to_csv(simulate_calibration(
+            model, 1.0, np.linspace(0.0, 12.0, 50), 1, seed=3, noiseless=True)))
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(self.resolve())
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert run_cli("calibrate", "--trace", str(trace_path),
+                       "--out", str(tmp_path / "o")) == 0
+        assert reads.count(trace_path.resolve()) == 1
+
+
+# Fuzz vocabulary.  Trial counts and grid sizes stay small so the fuzz runs
+# in seconds; the oversized cases (a refused allocation, a sweep beyond
+# MAX_SWEEP_CELLS) have their own tests above.
+_UNIT_TOKENS = ["ns", "us", "ms", "s", "nm", "um", "mm", "uW", "mW", "W",
+                "uW/um2", "mW/um2", "W/um2", "counts/us", "counts/ms", "kHz",
+                "MHz", "GHz", "kHz/um", "MHz/um"]
+_VALUE_TOKENS = ["0", "1", "-1", "2.5", "-0.0", "nan", "-nan", "inf", "-inf",
+                 "1e400", "-1e400", "1e-320", "4.9e-324", "١٢",
+                 "٣.٥", "５", "1_000", "0x10", "1e3",
+                 "100000000000000000000000", "#", "#x", "5#x", "x", "=",
+                 "lightyears", "mW/um^2", "us2", "MHZ"] + _UNIT_TOKENS
+_KEY_LINES = [i for i, line in enumerate(default_config_text().splitlines())
+              if "=" in line and not line.startswith("#")]
+
+
+@st.composite
+def _mutated_config(draw):
+    """The default config with one key line replaced, dropped or doubled."""
+    lines = default_config_text().splitlines()
+    i = draw(st.sampled_from(_KEY_LINES))
+    action = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+    if action == "drop":
+        del lines[i]
+    elif action == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = draw(st.lists(st.sampled_from(_VALUE_TOKENS), max_size=3))
+        sep = draw(st.sampled_from([" ", "", "\t", " # "]))
+        lines[i] = lines[i].partition("=")[0] + "= " + sep.join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_mutated_config())
+    def test_config_text_parses_and_round_trips_or_is_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert parse_config(cfg.to_text()) == cfg
+
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_argv_ends_in_an_exit_code(self, tmp_path, model, data):
+        paths = {"CFG": small_config(tmp_path), "MISSING": tmp_path / "nope",
+                 "DIR": tmp_path, "TRACE": tmp_path / "trace.csv",
+                 "FILE": tmp_path / "blocker"}
+        paths["TRACE"].write_text(trace_to_csv(simulate_calibration(
+            model, 1.0, np.linspace(0.0, 12.0, 40), 1, seed=3, noiseless=True)))
+        paths["FILE"].write_text("")
+        files = ["TRACE", "MISSING", "DIR", "CFG"]
+        options = {"--seed": ["0", "7", "-1", "2.5"],
+                   "--trials": ["1", "3", "0", "-1", "nan"],
+                   "--intensity": ["1", "2.5", "0", "-1", "nan", "inf", "-inf",
+                                   "1e400"],
+                   "--protocol": ["lcqdm", "leibold", "conventional", "LCQDM"],
+                   "--trace": files, "--mode": ["averaged", "instantaneous"],
+                   "--pgm": [None], "--dump-trials": [None], "--config": files}
+        own = {"eval": [], "sweep": ["--pgm"], "bogus": [],
+               "simulate": ["--protocol", "--trials", "--dump-trials"],
+               "calibrate": ["--trace", "--intensity", "--mode"],
+               "plan": ["--protocol"]}
+        head = data.draw(st.sampled_from(
+            [[]] * 2 + [["--config", "CFG"]] * 4 + [["--config", "MISSING"],
+                                                    ["--config", "DIR"]]))
+        command = data.draw(st.sampled_from(sorted(own)))
+        flags = data.draw(st.lists(
+            st.sampled_from([*own[command], "--seed"] * 4 + sorted(options)),
+            max_size=3))
+        if command in ("simulate", "plan", "calibrate") and data.draw(
+                st.integers(0, 9)):
+            flags.insert(0, own[command][0])
+        rest = []
+        for flag in flags:
+            odd = not data.draw(st.integers(0, 5))
+            value = data.draw(st.sampled_from(["", "x"] if odd else options[flag]))
+            rest += [flag] if value is None else [flag, value]
+        # --out comes last and only ever names a place under tmp_path
+        out = data.draw(st.sampled_from(["NEW", "NEW", "NEW", "FILE", "DIR"]))
+        out = tempfile.mkdtemp(dir=tmp_path) if out == "NEW" else out
+        argv = [str(paths.get(a, a)) for a in [*head, command, *rest,
+                                               "--out", out]]
+        assert main(argv) in (0, 1, 2, 3)
