@@ -12,19 +12,22 @@ ratios compare the three protocols without them.
 Each command is declared once, in _build_parser, bound to its handler;
 the handler adds its own inputs beyond config and seed to the digest.
 
-Exit codes: 0 success, 1 config/usage error, 2 domain or numeric error or
-not enough memory, 3 I/O error.
+Exit codes: 0 success, 1 config/usage error (a config file that is not
+UTF-8, a non-finite or non-positive --intensity), 2 domain or numeric
+error (a trace file that is not UTF-8) or not enough memory, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from ._csv import column_text, csv_text
 from .config import RunConfig, default_config_text, parse_config
 from .calibration import extract_times, read_trace_csv
 from .errors import ConfigError, DomainError
@@ -43,6 +46,26 @@ class _UsageError(ConfigError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems map to exit code 1
         raise _UsageError(message)
+
+
+def _intensity(text: str) -> float:
+    """--intensity: a finite, positive number of mW/um^2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
+
+
+def _read_text(path: str, error: type[Exception]) -> str:
+    """A UTF-8 file's text; other bytes raise error, not UnicodeDecodeError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -74,7 +97,7 @@ def _build_parser() -> _Parser:
     p = add("calibrate", _cmd_calibrate,
             "extract t_ro / t_init from a delay-sweep trace CSV")
     p.add_argument("--trace", required=True, metavar="PATH")
-    p.add_argument("--intensity", type=float, metavar="MW_PER_UM2",
+    p.add_argument("--intensity", type=_intensity, metavar="MW_PER_UM2",
                    help="trace intensity (default: config I_conf)")
     p.add_argument("--mode", choices=["averaged", "instantaneous"],
                    default="averaged")
@@ -178,14 +201,13 @@ def _cmd_simulate(run: _Run, args) -> str:
     ] + [("warning", w) for w in outcome.warnings])
     run.add("simulate_report.txt", report)
     if trial_etas is not None:
-        lines = ["trial,eta"]
-        lines += [f"{i},{eta!r}" for i, eta in enumerate(trial_etas)]
-        run.add("simulate_trials.csv", "\n".join(lines) + "\n")
+        run.add("simulate_trials.csv", csv_text("trial,eta", [
+            map(str, range(len(trial_etas))), column_text(trial_etas)]))
     return report
 
 
 def _cmd_calibrate(run: _Run, args) -> str:
-    text = Path(args.trace).read_text()
+    text = _read_text(args.trace, DomainError)
     run.add_input(text)
     intensity = args.intensity if args.intensity is not None \
         else run.cfg.intensity_conf()
@@ -236,7 +258,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None and args.seed < 0:
             raise _UsageError(f"--seed must be >= 0, got {args.seed}")
         if args.config is not None:
-            cfg_text = Path(args.config).read_text()
+            cfg_text = _read_text(args.config, ConfigError)
         else:
             cfg_text = default_config_text()
         cfg = parse_config(cfg_text)

