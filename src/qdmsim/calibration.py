@@ -180,11 +180,12 @@ TRACE_CSV_HEADER = "t_sweep_us,sig_pl,ref_pl"
 
 def read_trace_csv(text: str, intensity: float) -> CalibrationTrace:
     """Parse a trace from CSV text with header `t_sweep_us,sig_pl,ref_pl`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != TRACE_CSV_HEADER:
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1].replace(" ", "") != TRACE_CSV_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_CSV_HEADER!r}")
     rows = []
-    for n, ln in enumerate(lines[1:], start=2):
+    for n, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise DomainError(f"trace CSV line {n}: expected 3 columns")

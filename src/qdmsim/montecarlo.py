@@ -30,8 +30,8 @@ Determinism contract: trial t belongs to block t // TRIAL_BLOCK.  Each
 block draws from its own PCG64 generator (numpy's named, version-stable
 bit generator) seeded by SeedSequence((master_seed, block)), first the
 block's reference totals, then its signal totals.  The block size is fixed,
-so results are bitwise identical for a given master seed and trial count
-regardless of how many workers computed the blocks.
+so results are bitwise identical for a given master seed and trial count,
+and a run's full blocks reappear unchanged in any longer run.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, ProtocolParams,
 # Width of the PL sampling bin used when generating calibration traces, us.
 CALIBRATION_BIN_US = 1.0
 
-#: Trials per generator; fixed so that the streams do not depend on workers.
+#: Trials per generator; part of the random stream, so fixed.
 TRIAL_BLOCK = 1024
 
 # Largest expected photon total per cycle; numpy's Poisson sampler rejects
@@ -91,6 +91,8 @@ class SimOutcome:
     warnings: tuple[str, ...] = ()
 
 
+# Not used here either: perfbench/tracing.py times cycle building by
+# patching this table's entries.
 _BUILDERS = {
     LCQDM: build_lcqdm_cycle,
     LEIBOLD: build_leibold_cycle,
@@ -99,8 +101,7 @@ _BUILDERS = {
 
 
 def simulate_protocol(cfg: SimConfig, protocol_tag: str,
-                      noiseless: bool = False, workers: int = 1,
-                      signal_amplitude: float = 1.0,
+                      noiseless: bool = False, signal_amplitude: float = 1.0,
                       trial_etas_out: Optional[list] = None) -> SimOutcome:
     """Estimate the per-voxel sensitivity of one protocol by simulation.
 
@@ -108,12 +109,9 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
     limit), leaving only the deterministic amplitude-decay accounting.
     signal_amplitude scales the encoded signal; 0 gives a null measurement
     whose estimate must be statistically consistent with zero.
-    workers > 1 computes trial blocks on a thread pool; the outcome is
-    bitwise identical to the serial run.  If trial_etas_out is given, the
-    per-trial eta values are appended to it.
+    If trial_etas_out is given, the per-trial eta values are appended to it
+    as floats (inf for a zero estimate).
     """
-    if protocol_tag not in _BUILDERS:
-        raise DomainError(f"unknown protocol {protocol_tag!r}")
     n_windows, overhead, slot = cycle_layout(protocol_tag, cfg.params)
     span = overhead + n_windows * slot
     t_per_voxel = span / n_windows
@@ -137,24 +135,12 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
     if noiseless:
         estimates[:] = encoded / n_windows
     else:
-        def run_block(block: int) -> None:
-            lo = block * TRIAL_BLOCK
+        for block, lo in enumerate(range(0, n, TRIAL_BLOCK)):
             size = min(TRIAL_BLOCK, n - lo)
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((cfg.master_seed, block))))
             ref = rng.poisson(lam_ref, size)
             estimates[lo:lo + size] = (ref - rng.poisson(lam_sig, size)) / lam_ref
-
-        blocks = range(-(-n // TRIAL_BLOCK))
-        if workers <= 1:
-            for block in blocks:
-                run_block(block)
-        else:
-            # Imported here: concurrent.futures (and the logging it loads)
-            # adds about 0.75 MiB to every process that never uses a pool.
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_block, blocks))
 
     signal_mean = float(np.mean(estimates))
     warnings: tuple[str, ...] = ()
@@ -176,8 +162,7 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
     if trial_etas_out is not None:
         with np.errstate(divide="ignore"):
             trial_etas_out.extend(
-                (math.sqrt(t_per_voxel) * c0 / e if e != 0 else math.inf)
-                for e in estimates)
+                (math.sqrt(t_per_voxel) * c0 / estimates).tolist())
 
     return SimOutcome(eta, eta_stderr, n_windows, span, protocol_tag,
                       signal_mean, signal_stderr, n, warnings)

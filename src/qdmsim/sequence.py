@@ -208,13 +208,15 @@ def _empty_columns(n_events: int, protocol_tag: str):
 def _slots_within(budget: float, slot: float) -> int:
     # floor(budget / slot), corrected downward when the float quotient
     # rounded up across an integer; n * slot <= budget is the contract.
+    # One step to the float below the quotient is enough, and unlike a
+    # step of one it still moves n above 2**53.
     quotient = budget / slot
     if not math.isfinite(quotient):
         raise DomainError(f"t1 / slot overflows ({budget!r} us / {slot!r} us); "
                           "the recurrent readout count is unbounded")
     n = math.floor(quotient)
-    while n > 1 and n * slot > budget:
-        n -= 1
+    if n * slot > budget:
+        n = math.floor(math.nextafter(quotient, 0.0))
     return max(1, n)
 
 

@@ -212,6 +212,15 @@ class TestTraceHygiene:
         assert np.array_equal(again.sig_pl, trace.sig_pl)
         assert np.array_equal(again.ref_pl, trace.ref_pl)
 
+    @pytest.mark.parametrize("text, line", [
+        ("t_sweep_us,sig_pl,ref_pl\n\n\n0,1,1\n1,2\n", 5),
+        ("\nt_sweep_us,sig_pl,ref_pl\n0,1,1\n  \n1,x,1\n", 5),
+    ])
+    def test_csv_error_names_file_line(self, text, line):
+        # blank lines are skipped but still counted
+        with pytest.raises(DomainError, match=f"trace CSV line {line}:"):
+            read_trace_csv(text, 1.0)
+
     def test_csv_header_enforced(self):
         with pytest.raises(DomainError):
             read_trace_csv("time,sig,ref\n0,1,1\n", 1.0)

@@ -24,12 +24,12 @@ def run_cli(*args):
     return main(list(args))
 
 
-def run_module(*args):
+def run_module(*args, timeout=None):
     """qdmsim in a child interpreter, so an uncaught error shows on stderr."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(qdmsim.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-m", "qdmsim", *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def read_report(path):
@@ -317,6 +317,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("domain error:")
+
+    @pytest.mark.parametrize("argv, code", [
+        (("plan", "--protocol", "lcqdm"), 0),
+        (("plan", "--protocol", "leibold"), 0),
+        (("plan", "--protocol", "conventional"), 0),
+        (("simulate", "--protocol", "lcqdm", "--trials", "10"), 2),
+    ])
+    def test_recurrent_count_above_2_53_ends(self, tmp_path, argv, code):
+        # t1 / slot is about 2e26, where stepping an integer count down by
+        # one no longer changes its float value
+        cfg_path = small_config(tmp_path, **{"t1 = 5 ms": "t1 = 1e27 us"})
+        proc = run_module("--config", str(cfg_path), *argv,
+                          "--out", str(tmp_path / "o"), timeout=60)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith("domain error:")
+            assert "Poisson sampler" in proc.stderr
 
     def test_refused_allocation_is_exit_2(self, tmp_path):
         # 10**15 float64 estimates are 8 PB, beyond any 64-bit user address

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qdmsim import (CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
+from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     ProtocolParams, SimConfig, build_leibold_cycle,
                     contrast_at_delay, contrast, end_to_end_pipeline,
                     eta_conventional, eta_exact, eta_lcqdm, eta_leibold,
@@ -13,6 +13,7 @@ from qdmsim import (CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     recurrent_count_lcqdm, recurrent_count_leibold,
                     simulate_calibration, simulate_protocol)
 from qdmsim.montecarlo import CALIBRATION_BIN_US, TRIAL_BLOCK
+from qdmsim.sensitivity import readout_decay_sum
 from qdmsim.sequence import (EVENT_KINDS, MW_BLOCK, READOUT_WINDOW,
                              cycle_layout)
 
@@ -40,6 +41,36 @@ def sim_config(model, i_conf, n_trials, seed=11, **kw):
                      i_conf=i_conf, n_trials=n_trials, master_seed=seed)
 
 
+def block_stream_estimates(cfg, tag, noiseless, amplitude):
+    """Per-trial estimates rebuilt from the documented block-stream contract:
+    block b draws its reference totals, then its signal totals, from
+    PCG64(SeedSequence((master_seed, b)))."""
+    n_windows, _, slot = cycle_layout(tag, cfg.params)
+    mu = photon_flux(cfg.model, cfg.i_conf) * cfg.params.t_ro_conf
+    encoded = cfg.model.c0 * amplitude * readout_decay_sum(
+        n_windows, slot, cfg.params.t1)
+    lam_ref, lam_sig = n_windows * mu, mu * (n_windows - encoded)
+    n = cfg.n_trials
+    if noiseless:
+        return np.full(n, encoded / n_windows)
+    parts = []
+    for block in range(-(-n // TRIAL_BLOCK)):
+        size = min(TRIAL_BLOCK, n - block * TRIAL_BLOCK)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((cfg.master_seed, block))))
+        ref = rng.poisson(lam_ref, size)
+        parts.append((ref - rng.poisson(lam_sig, size)) / lam_ref)
+    return np.concatenate(parts)
+
+
+def reference_trial_etas(estimates, t_per_voxel, c0):
+    """The per-trial generator simulate_protocol used before it divided the
+    whole array at once; it yields numpy float64 scalars."""
+    with np.errstate(divide="ignore"):
+        return [(math.sqrt(t_per_voxel) * c0 / e if e != 0 else math.inf)
+                for e in estimates]
+
+
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self, model):
         cfg = sim_config(model, 1.0, 500)
@@ -50,25 +81,16 @@ class TestDeterminism:
         b = simulate_protocol(sim_config(model, 1.0, 500, seed=2), LCQDM)
         assert a.eta_empirical != b.eta_empirical
 
-    def test_worker_count_irrelevant(self, model):
-        cfg = sim_config(model, 1.0, 400)
-        serial = simulate_protocol(cfg, LEIBOLD)
-        for workers in (2, 3, 8):
-            assert simulate_protocol(cfg, LEIBOLD, workers=workers) == serial
-
-    def test_block_boundaries_irrelevant_to_workers(self, model):
-        cfg = sim_config(model, 1.0, 2 * TRIAL_BLOCK + 3)
-        runs = {}
-        for workers in (1, 2, 3, 8):
-            trials = []
-            runs[workers] = (simulate_protocol(cfg, LCQDM, workers=workers,
-                                               trial_etas_out=trials), trials)
-        for workers in (2, 3, 8):
-            assert runs[workers] == runs[1]
+    def test_full_blocks_are_a_prefix_of_a_longer_run(self, model):
+        full, longer = [], []
+        simulate_protocol(sim_config(model, 1.0, 2 * TRIAL_BLOCK), LCQDM,
+                          trial_etas_out=full)
+        simulate_protocol(sim_config(model, 1.0, 2 * TRIAL_BLOCK + 3), LCQDM,
+                          trial_etas_out=longer)
+        assert longer[:2 * TRIAL_BLOCK] == full
         # each block draws from its own stream
-        trials = runs[1][1]
-        assert trials[:3] != trials[TRIAL_BLOCK:TRIAL_BLOCK + 3]
-        assert trials[:3] != trials[2 * TRIAL_BLOCK:]
+        assert longer[:3] != longer[TRIAL_BLOCK:TRIAL_BLOCK + 3]
+        assert longer[:3] != longer[2 * TRIAL_BLOCK:]
 
     def test_single_trial_reproducible(self, model):
         cfg = sim_config(model, 1.0, 1)
@@ -393,8 +415,29 @@ class TestConfigValidation:
                       n_trials=0, master_seed=0)
 
     def test_unknown_protocol(self, model):
-        with pytest.raises(DomainError):
-            simulate_protocol(sim_config(model, 1.0, 10), "Bogus")
+        # a calibration sequence has a PulseSequence tag but is no protocol
+        for tag in ("Bogus", CALIBRATION):
+            with pytest.raises(DomainError, match="unknown protocol"):
+                simulate_protocol(sim_config(model, 1.0, 10), tag)
+
+    @pytest.mark.parametrize("amplitude, noiseless", [
+        (1.0, False), (0.0, False), (0.0, True), (0.3, True)])
+    def test_trial_etas_are_plain_floats(self, model, amplitude, noiseless):
+        # at 1e-3 mW/um^2 about one photon reaches a window, so many noisy
+        # estimates are exactly zero
+        cfg = sim_config(model, 1e-3, 2 * TRIAL_BLOCK + 5)
+        dump = []
+        out = simulate_protocol(cfg, CONVENTIONAL, noiseless=noiseless,
+                                signal_amplitude=amplitude, trial_etas_out=dump)
+        assert all(type(eta) is float for eta in dump)
+        estimates = block_stream_estimates(cfg, CONVENTIONAL, noiseless,
+                                           amplitude)
+        assert out.signal_mean == float(np.mean(estimates))
+        expected = reference_trial_etas(
+            estimates, out.cycle_time / out.readouts_per_cycle, cfg.model.c0)
+        assert [e.hex() for e in dump] == [float(e).hex() for e in expected]
+        if amplitude == 0.0:
+            assert math.inf in dump
 
     def test_trial_eta_dump(self, model):
         cfg = sim_config(model, 1.0, 25)

@@ -210,6 +210,28 @@ def perturb(seq, p, how, rng):
     return PulseSequence.from_events(rows, seq.protocol_tag)
 
 
+def reference_slots_within(budget, slot):
+    """The readout count as computed before it was loop-free: floor the
+    quotient, then step down one at a time while n * slot overruns."""
+    n = math.floor(budget / slot)
+    while n > 1 and n * slot > budget:
+        n -= 1
+    return max(1, n)
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+# budget = k * slot moved by a few ulps, so the quotient sits at or next to
+# an integer, where the float division can round up across it.
+near_integer_pairs = st.builds(
+    lambda k, slot, ulps: (nudged(k * slot, ulps), slot),
+    st.integers(1, 2**53 - 1), st.floats(1e-3, 1e3), st.integers(-2, 2))
+
+
 class TestRecurrentCounts:
     def test_lcqdm_table_values(self):
         assert recurrent_count_lcqdm(make_params()) == 980
@@ -239,6 +261,25 @@ class TestRecurrentCounts:
             recurrent_count_lcqdm(p)
         with pytest.raises(DomainError, match="overflows"):
             recurrent_count_leibold(p)
+
+    @given(st.one_of(near_integer_pairs,
+                     st.tuples(st.floats(1e-3, 1e15), st.floats(1e-3, 1e3))))
+    def test_slots_within_matches_stepped_reference(self, pair):
+        budget, slot = pair
+        if budget / slot < 2**53:
+            assert sequence._slots_within(budget, slot) == \
+                reference_slots_within(budget, slot)
+
+    @given(st.floats(2.0**53, 1e290), st.floats(1e-3, 1e3),
+           st.integers(-2, 2))
+    def test_slots_within_above_2_53_fits_budget(self, quotient, slot, ulps):
+        budget = nudged(quotient * slot, ulps)
+        if not math.isfinite(budget) or budget / slot < 2**53:
+            return
+        n = sequence._slots_within(budget, slot)
+        assert n * slot <= budget
+        # at most one float below the quotient
+        assert n >= math.nextafter(budget / slot, 0.0)
 
     @given(param_strategy)
     def test_lcqdm_never_below_leibold(self, p):
