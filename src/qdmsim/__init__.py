@@ -20,7 +20,7 @@ from .photophysics import (LogQuadraticCurve, PhotophysicsModel,
 from .sequence import (CALIBRATION, CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS,
                        ProtocolParams, PulseSequence, SequenceEvent,
                        ValidationReport, build_calibration_sequence,
-                       build_conventional_cycle, build_lcqdm_cycle,
+                       build_conventional_cycle, build_cycle, build_lcqdm_cycle,
                        build_leibold_cycle, duty_cycle, recurrent_count_lcqdm,
                        recurrent_count_leibold, validate_sequence)
 from .sensitivity import (SensitivityGrid, SensitivityResult, SweepSpec,

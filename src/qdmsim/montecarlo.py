@@ -108,7 +108,9 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
     noiseless replaces every photon draw by its mean (the infinite-flux
     limit), leaving only the deterministic amplitude-decay accounting.
     signal_amplitude scales the encoded signal; 0 gives a null measurement
-    whose estimate must be statistically consistent with zero.
+    whose estimate must be statistically consistent with zero.  It must be
+    finite with c0 * signal_amplitude <= 1 (no window's signal rate is
+    negative) and keep the signal total within the Poisson sampler's range.
     If trial_etas_out is given, the per-trial eta values are appended to it
     as floats (inf for a zero estimate).
     """
@@ -117,6 +119,10 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
     t_per_voxel = span / n_windows
 
     c0 = cfg.model.c0
+    if not (math.isfinite(signal_amplitude) and c0 * signal_amplitude <= 1):
+        raise DomainError(f"signal_amplitude must be finite with c0 * "
+                          f"signal_amplitude <= 1 (c0 = {c0}), got "
+                          f"{signal_amplitude!r}")
     mu = photon_flux(cfg.model, cfg.i_conf) * cfg.params.t_ro_conf
     if mu <= 0:
         raise DomainError("expected photon count per window is zero; "
@@ -129,6 +135,10 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
         raise DomainError(f"{lam_ref:.3g} expected photons per cycle "
                           f"({n_windows} readouts) exceed the Poisson "
                           f"sampler's range")
+    if not 0 <= lam_sig <= _MAX_PHOTONS_PER_CYCLE:
+        raise DomainError(f"{lam_sig:.3g} expected signal photons per cycle "
+                          f"(signal_amplitude {signal_amplitude!r}) lie "
+                          f"outside the Poisson sampler's range")
 
     n = cfg.n_trials
     estimates = np.empty(n, dtype=float)

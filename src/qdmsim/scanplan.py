@@ -19,6 +19,7 @@ is byte for byte that of a row loop doing the same per value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,8 +28,7 @@ import numpy as np
 from ._csv import column_text, csv_text
 from .errors import DomainError
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, ProtocolParams,
-                       build_conventional_cycle, build_lcqdm_cycle,
-                       build_leibold_cycle, cycle_layout)
+                       build_cycle, cycle_layout)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,17 @@ class VoxelGrid:
     pitch: float  # um per axis
 
     def __post_init__(self):
+        for name in ("nx", "ny", "nz"):
+            size = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(size))
+            except TypeError:
+                raise DomainError(f"grid dimension {name} must be an integer, "
+                                  f"got {size!r}") from None
         if min(self.nx, self.ny, self.nz) < 1:
             raise DomainError("grid dimensions must be >= 1")
-        if self.pitch <= 0:
-            raise DomainError(f"pitch must be positive, got {self.pitch}")
+        if not (math.isfinite(self.pitch) and self.pitch > 0):
+            raise DomainError(f"pitch must be finite and positive, got {self.pitch}")
 
     @property
     def n_voxels(self) -> int:
@@ -64,6 +71,9 @@ class AOMAxis:
     slope: float  # MHz per um
 
     def __post_init__(self):
+        if not (math.isfinite(self.f0) and math.isfinite(self.slope)):
+            raise DomainError(f"AOM f0 and slope must be finite, got "
+                              f"{self.f0}, {self.slope}")
         if self.slope == 0:
             raise DomainError("AOM slope must be nonzero")
         if self.f0 <= 0:
@@ -84,7 +94,7 @@ class AOMCalibration:
                                    ("descan_x", self.descan_x, grid.nx),
                                    ("descan_y", self.descan_y, grid.ny)):
             worst = axis.f0 + axis.slope * (extent - 1) * grid.pitch
-            if worst <= 0 or axis.f0 <= 0:
+            if worst <= 0:
                 raise DomainError(
                     f"AOM channel {name} drives a non-positive frequency "
                     f"({worst:.4g} MHz) inside the grid")
@@ -252,17 +262,6 @@ def speedup_report(grid: VoxelGrid, p: ProtocolParams) -> SpeedupReport:
 
 def cycle_span_by_events(protocol_tag: str, p: ProtocolParams,
                          n_voxels: int) -> float:
-    """Span of one cycle measured from its built event timeline.
-
-    Independent cross-check of the closed-form cycle costing used by
-    plan_acquisition.
-    """
-    if protocol_tag == LCQDM:
-        return build_lcqdm_cycle(p, n_voxels).span()
-    if protocol_tag == LEIBOLD:
-        return build_leibold_cycle(p, n_voxels).span()
-    if protocol_tag == CONVENTIONAL:
-        if n_voxels != 1:
-            raise DomainError("conventional cycles hold exactly one voxel")
-        return build_conventional_cycle(p).span()
-    raise DomainError(f"unknown protocol {protocol_tag!r}")
+    """Span of one cycle of n_voxels readouts, measured on its built timeline;
+    it shares the cycle declaration with plan_acquisition's closed form."""
+    return build_cycle(protocol_tag, p, n_voxels).span()

@@ -11,9 +11,14 @@ sequence:
 * Conventional - initialize, MW, read a single voxel; repeat per voxel.
 * Calibration  - signal/reference PL sample pair at a swept laser-on delay.
 
+Each protocol's cycle is declared once (`_CYCLES`): whether its readouts
+recur within t1, the prelude before the first readout, and the events of
+one readout slot.  `cycle_layout`, the recurrent counts and `build_cycle`
+(behind the three named builders) all derive from that declaration.
+
 A sequence is stored as four numpy columns in event order: `kind` (int8
 code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
-(int64, -1 for none).  The builders fill them with strided assignments,
+(int64, -1 for none).  `build_cycle` fills them with strided assignments,
 the validator and the reductions (span, duty cycle) work on them directly,
 and `SequenceEvent` rows are made only on demand (`events`, `windows()`,
 `PulseSequence.from_events` for hand-built timelines).  A sequence holds at
@@ -220,14 +225,39 @@ def _slots_within(budget: float, slot: float) -> int:
     return max(1, n)
 
 
-def recurrent_count_lcqdm(p: ProtocolParams) -> int:
-    """Readouts that fit in t1 when each costs t_ro_conf + t_d; at least 1."""
-    return _slots_within(p.t1, p.t_ro_conf + p.t_d)
+# Each protocol's cycle, declared once: (whether its readouts recur within
+# t1, prelude events as (kind, duration) placed back to back from 0, one
+# readout slot's events as (kind, offset, duration, whether the event
+# addresses the slot's voxel)).  The overhead is the prelude's end, the slot
+# the end of the slot's last event, and slot k opens at overhead + k * slot.
+_CYCLES = {
+    LCQDM: lambda p: (
+        True, ((_LS, p.t_init_ls), (_MW, p.t_mw)),
+        ((_WINDOW, 0.0, p.t_ro_conf, True), (_DEAD, p.t_ro_conf, p.t_d, False))),
+    LEIBOLD: lambda p: (
+        True, ((_MW, p.t_mw),),
+        ((_WINDOW, 0.0, p.t_ro_conf, True),
+         (_LASER, 0.0, p.t_ro_conf + p.t_init_conf, True),
+         (_DEAD, p.t_ro_conf + p.t_init_conf, p.t_d, False))),
+    CONVENTIONAL: lambda p: (
+        False, ((_LASER, p.t_init_conf), (_MW, p.t_mw)),
+        ((_WINDOW, 0.0, p.t_ro_conf, True), (_DEAD, p.t_ro_conf, p.t_d, False))),
+}
 
 
-def recurrent_count_leibold(p: ProtocolParams) -> int:
-    """Readouts that fit in t1 when each also pays t_init_conf; at least 1."""
-    return _slots_within(p.t1, p.t_ro_conf + p.t_init_conf + p.t_d)
+def _layout(protocol_tag: str, p: ProtocolParams):
+    """cycle_layout's numbers, prelude rows and slot events, read once."""
+    if protocol_tag not in PROTOCOLS:
+        raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
+    recurrent, prelude, slot_events = _CYCLES[protocol_tag](p)
+    rows, overhead = [], 0.0
+    for code, length in prelude:
+        rows.append((code, overhead, length))
+        overhead += length
+    _, offset, length, _ = slot_events[-1]
+    slot = offset + length
+    count = _slots_within(p.t1, slot) if recurrent else 1
+    return count, overhead, slot, rows, slot_events
 
 
 def cycle_layout(protocol_tag: str, p: ProtocolParams
@@ -237,64 +267,59 @@ def cycle_layout(protocol_tag: str, p: ProtocolParams
     A cycle of n readouts spans overhead + n * slot, and its k-th readout
     window opens k * slot after the end of the MW block.
     """
-    if protocol_tag == LCQDM:
-        return (recurrent_count_lcqdm(p), p.t_init_ls + p.t_mw,
-                p.t_ro_conf + p.t_d)
-    if protocol_tag == LEIBOLD:
-        return (recurrent_count_leibold(p), p.t_mw,
-                p.t_ro_conf + p.t_init_conf + p.t_d)
-    if protocol_tag == CONVENTIONAL:
-        return (1, p.t_init_conf + p.t_mw, p.t_ro_conf + p.t_d)
-    raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
+    return _layout(protocol_tag, p)[:3]
+
+
+def recurrent_count_lcqdm(p: ProtocolParams) -> int:
+    """Readouts that fit in t1 when each costs t_ro_conf + t_d; at least 1."""
+    return cycle_layout(LCQDM, p)[0]
+
+
+def recurrent_count_leibold(p: ProtocolParams) -> int:
+    """Readouts that fit in t1 when each also pays t_init_conf; at least 1."""
+    return cycle_layout(LEIBOLD, p)[0]
+
+
+def build_cycle(protocol_tag: str, p: ProtocolParams,
+                n_readouts: Optional[int] = None) -> PulseSequence:
+    """One cycle of a protocol: its prelude, then n_readouts readout slots
+    (by default cycle_layout's full count; fewer end a scan).
+    """
+    count, overhead, slot, prelude, slot_events = _layout(protocol_tag, p)
+    try:
+        n = count if n_readouts is None else operator.index(n_readouts)
+    except TypeError:
+        raise DomainError(f"n_readouts must be an integer, got {n_readouts!r}") from None
+    if not 1 <= n <= count:
+        raise DomainError(f"n_readouts must be in [1, {count}], got {n}")
+    head, width = len(prelude), len(slot_events)
+    kind, start, duration, voxel = _empty_columns(head + width * n, protocol_tag)
+    for i, row in enumerate(prelude):
+        kind[i], start[i], duration[i] = row
+    k = np.arange(n)
+    window_start = overhead + k * slot
+    for i, (code, offset, length, addressed) in enumerate(slot_events, head):
+        kind[i::width], start[i::width], duration[i::width] = (
+            code, window_start + offset if offset else window_start, length)
+        if addressed:
+            voxel[i::width] = k
+    return PulseSequence(kind, start, duration, voxel, protocol_tag)
 
 
 def build_lcqdm_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:
-    """One light-sheet cycle: global init, MW block, recurrent readouts.
-
-    n_readouts defaults to recurrent_count_lcqdm(p); a smaller count gives the
-    partial cycle that ends a scan.
-    """
-    n = _resolve_count(n_readouts, recurrent_count_lcqdm(p))
-    kind, start, duration, voxel = _empty_columns(2 + 2 * n, LCQDM)
-    kind[:2] = (_LS, _MW)
-    start[:2] = (0.0, p.t_init_ls)
-    duration[:2] = (p.t_init_ls, p.t_mw)
-    k = np.arange(n)
-    window_start = (p.t_init_ls + p.t_mw) + k * (p.t_ro_conf + p.t_d)
-    kind[2::2], start[2::2], duration[2::2], voxel[2::2] = (
-        _WINDOW, window_start, p.t_ro_conf, k)
-    kind[3::2], start[3::2], duration[3::2] = (
-        _DEAD, window_start + p.t_ro_conf, p.t_d)
-    return PulseSequence(kind, start, duration, voxel, LCQDM)
+    """One light-sheet cycle: global init, MW block, recurrent readouts."""
+    return build_cycle(LCQDM, p, n_readouts)
 
 
 def build_leibold_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:
     """One recurrent readout+reinit cycle: MW block, then per voxel a readout
     window inside a laser dwell that continues for the reinitialization."""
-    n = _resolve_count(n_readouts, recurrent_count_leibold(p))
-    kind, start, duration, voxel = _empty_columns(1 + 3 * n, LEIBOLD)
-    kind[0], start[0], duration[0] = _MW, 0.0, p.t_mw
-    dwell = p.t_ro_conf + p.t_init_conf
-    k = np.arange(n)
-    window_start = p.t_mw + k * (p.t_ro_conf + p.t_init_conf + p.t_d)
-    kind[1::3], start[1::3], duration[1::3], voxel[1::3] = (
-        _WINDOW, window_start, p.t_ro_conf, k)
-    kind[2::3], start[2::3], duration[2::3], voxel[2::3] = (
-        _LASER, window_start, dwell, k)
-    kind[3::3], start[3::3], duration[3::3] = (
-        _DEAD, window_start + dwell, p.t_d)
-    return PulseSequence(kind, start, duration, voxel, LEIBOLD)
+    return build_cycle(LEIBOLD, p, n_readouts)
 
 
 def build_conventional_cycle(p: ProtocolParams) -> PulseSequence:
     """Single-voxel cycle: init pulse, MW block, one readout, dead time."""
-    return PulseSequence(
-        np.array([_LASER, _MW, _WINDOW, _DEAD], np.int8),
-        np.array([0.0, p.t_init_conf, p.t_init_conf + p.t_mw,
-                  p.t_init_conf + p.t_mw + p.t_ro_conf]),
-        np.array([p.t_init_conf, p.t_mw, p.t_ro_conf, p.t_d]),
-        np.array([-1, -1, 0, -1], np.int64),
-        CONVENTIONAL)
+    return build_cycle(CONVENTIONAL, p)
 
 
 def build_calibration_sequence(p: ProtocolParams, t_sweep: float) -> PulseSequence:
@@ -315,20 +340,6 @@ def build_calibration_sequence(p: ProtocolParams, t_sweep: float) -> PulseSequen
         np.tile([p.t_init_conf, 0.0, t_sweep + p.t_ro_conf, 0.0], 2),
         np.tile(np.array([0, -1, 0, 0], np.int64), 2),
         CALIBRATION)
-
-
-def _resolve_count(requested: Optional[int], default: int) -> int:
-    if requested is None:
-        return default
-    try:
-        requested = operator.index(requested)
-    except TypeError:
-        raise DomainError(
-            f"n_readouts must be an integer, got {requested!r}") from None
-    if requested < 1 or requested > default:
-        raise DomainError(
-            f"n_readouts must be in [1, {default}], got {requested}")
-    return requested
 
 
 @dataclass(frozen=True)

@@ -421,7 +421,8 @@ class TestConfigValidation:
                 simulate_protocol(sim_config(model, 1.0, 10), tag)
 
     @pytest.mark.parametrize("amplitude, noiseless", [
-        (1.0, False), (0.0, False), (0.0, True), (0.3, True)])
+        (1.0, False), (1.0, True), (0.0, False), (0.0, True), (-0.0, False),
+        (0.3, True)])
     def test_trial_etas_are_plain_floats(self, model, amplitude, noiseless):
         # at 1e-3 mW/um^2 about one photon reaches a window, so many noisy
         # estimates are exactly zero
@@ -438,6 +439,18 @@ class TestConfigValidation:
         assert [e.hex() for e in dump] == [float(e).hex() for e in expected]
         if amplitude == 0.0:
             assert math.inf in dump
+
+    # The model's c0 is 0.03, so 40 asks for a negative signal rate in the
+    # first window; -1e30 asks for more signal photons than Poisson draws.
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("protocol", [LCQDM, CONVENTIONAL])
+    @pytest.mark.parametrize("amplitude", [
+        math.nan, math.inf, -math.inf, 1e30, -1e30, 40.0])
+    def test_bad_signal_amplitude_rejected(self, model, amplitude, protocol,
+                                           noiseless):
+        with pytest.raises(DomainError, match="signal"):
+            simulate_protocol(sim_config(model, 1.0, 10), protocol,
+                              noiseless=noiseless, signal_amplitude=amplitude)
 
     def test_trial_eta_dump(self, model):
         cfg = sim_config(model, 1.0, 25)

@@ -43,6 +43,21 @@ class TestGrid:
         with pytest.raises(DomainError):
             VoxelGrid(2, 2, 1, 0.0)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2, 1), (2, 2.0, 1), (2, 2, "1")])
+    def test_non_integer_dimensions_rejected(self, dims):
+        with pytest.raises(DomainError, match="integer"):
+            VoxelGrid(*dims, 1.0)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        g = VoxelGrid(np.int64(3), np.int32(2), np.int8(2), 1.0)
+        assert g == VoxelGrid(3, 2, 2, 1.0)
+        assert g.n_voxels == 12
+
+    @pytest.mark.parametrize("pitch", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pitch_rejected(self, pitch):
+        with pytest.raises(DomainError, match="pitch"):
+            VoxelGrid(2, 2, 1, pitch)
+
 
 class TestPlanTotals:
     def test_lcqdm_100x100(self):
@@ -286,6 +301,13 @@ class TestRfMapping:
     def test_zero_slope_rejected(self):
         with pytest.raises(DomainError):
             AOMAxis(80.0, 0.0)
+
+    @pytest.mark.parametrize("f0, slope", [
+        (math.nan, 0.1), (math.inf, 0.1), (80.0, math.nan), (80.0, math.inf),
+        (80.0, -math.inf)])
+    def test_non_finite_axis_rejected(self, f0, slope):
+        with pytest.raises(DomainError, match="finite"):
+            AOMAxis(f0, slope)
 
     def test_negative_frequency_inside_grid_rejected(self):
         cal = AOMCalibration(scan_x=AOMAxis(1.0, -0.5), scan_y=AOMAxis(80.0, 0.1),

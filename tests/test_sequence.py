@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     ProtocolParams, PulseSequence, SequenceEvent,
                     ValidationReport, build_calibration_sequence,
-                    build_conventional_cycle, build_lcqdm_cycle,
+                    build_conventional_cycle, build_cycle, build_lcqdm_cycle,
                     build_leibold_cycle, duty_cycle, recurrent_count_lcqdm,
                     recurrent_count_leibold, validate_sequence)
 from qdmsim import sequence
 from qdmsim.sequence import (CONFOCAL_LASER_PULSE, DEAD_TIME, EVENT_KINDS,
-                             LIGHT_SHEET_PULSE, MW_BLOCK, READOUT_WINDOW)
+                             LIGHT_SHEET_PULSE, MW_BLOCK, READOUT_WINDOW,
+                             cycle_layout)
 
 WINDOW_CODE = EVENT_KINDS.index(READOUT_WINDOW)
 LASER_CODE = EVENT_KINDS.index(CONFOCAL_LASER_PULSE)
@@ -416,6 +417,28 @@ class TestInputHygiene:
         seq = build_lcqdm_cycle(make_params())
         with pytest.raises(ValueError):
             seq.start[0] = 1.0
+
+
+class TestBuildCycleFollowsLayout:
+    @given(param_strategy, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_windows_open_at_layout_slots(self, p, data):
+        for tag in sequence.PROTOCOLS:
+            count, overhead, slot = cycle_layout(tag, p)
+            for n in {1, count, data.draw(st.integers(1, count), label=tag)}:
+                seq = build_cycle(tag, p, n)
+                assert (seq.start[seq.kind == WINDOW_CODE].tolist()
+                        == [overhead + k * slot for k in range(n)])
+                assert seq.span() == pytest.approx(overhead + n * slot, rel=1e-12)
+
+    @pytest.mark.parametrize("tag", ["Bogus", CALIBRATION])
+    def test_unknown_tag_rejected(self, tag):
+        with pytest.raises(DomainError, match="unknown protocol"):
+            build_cycle(tag, make_params())
+
+    def test_conventional_cycle_holds_one_readout(self):
+        with pytest.raises(DomainError, match=r"\[1, 1\]"):
+            build_cycle(CONVENTIONAL, make_params(), 2)
 
 
 class TestMaterializationBound:
