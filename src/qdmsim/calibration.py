@@ -19,6 +19,17 @@ trace_to_csv prints each value as Python's repr of the float (the
 shortest text that reads back to the same double), so read_trace_csv
 recovers the trace bit for bit.  Each distinct value is formatted once,
 and the text is byte for byte that of a row-by-row loop.
+
+read_trace_csv's contract: lines are split as str.splitlines splits them
+(CRLF, form feed and U+2028 included) and stripped; blank lines are
+skipped but still counted.  The first line left must be the header
+(spaces inside it are ignored), and every line after it holds three
+comma-separated fields, each parsed by float() - so `1_0`, `nan` and
+`inf` parse as Python parses them, and a non-finite value is then
+refused by CalibrationTrace.  A malformed file raises DomainError naming
+the file line of the first bad row.  The fields of all rows are parsed
+in one pass; only when that fails are the rows scanned again, in order,
+for the one to name.
 """
 
 from __future__ import annotations
@@ -179,22 +190,43 @@ TRACE_CSV_HEADER = "t_sweep_us,sig_pl,ref_pl"
 
 
 def read_trace_csv(text: str, intensity: float) -> CalibrationTrace:
-    """Parse a trace from CSV text with header `t_sweep_us,sig_pl,ref_pl`."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
-    if not lines or lines[0][1].replace(" ", "") != TRACE_CSV_HEADER:
+    """Parse a trace from CSV text with header `t_sweep_us,sig_pl,ref_pl`.
+
+    Every field goes through float(), so the arrays are bitwise those of a
+    row-by-row parse.  Lines are stripped and blank ones skipped but
+    counted: an error names the file line of the first bad row.
+    """
+    lines = [s for ln in text.splitlines() if (s := ln.strip())]
+    if not lines or lines[0].replace(" ", "") != TRACE_CSV_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_CSV_HEADER!r}")
-    rows = []
-    for n, ln in lines[1:]:
+    body = lines[1:]
+    # Every row holds exactly three fields, so all of them parse in one pass.
+    if any(ln.count(",") != 2 for ln in body):
+        raise _first_bad_row(text)
+    fields = ",".join(body).split(",") if body else []
+    try:
+        values = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        raise _first_bad_row(text) from None
+    arr = values.reshape(-1, 3)
+    return CalibrationTrace(intensity, arr[:, 0], arr[:, 1], arr[:, 2])
+
+
+def _first_bad_row(text: str) -> DomainError:
+    """The error for the first row below the header that is not 3 floats,
+    naming its file line: blank lines are skipped but counted."""
+    numbered = [(n, s) for n, ln in enumerate(text.splitlines(), start=1)
+                if (s := ln.strip())]
+    for n, ln in numbered[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
-            raise DomainError(f"trace CSV line {n}: expected 3 columns")
+            return DomainError(f"trace CSV line {n}: expected 3 columns")
         try:
-            rows.append(tuple(float(x) for x in parts))
+            for x in parts:
+                float(x)
         except ValueError as exc:
-            raise DomainError(f"trace CSV line {n}: {exc}") from None
-    arr = np.array(rows, dtype=float).reshape(-1, 3)
-    return CalibrationTrace(intensity, arr[:, 0], arr[:, 1], arr[:, 2])
+            return DomainError(f"trace CSV line {n}: {exc}")
+    raise AssertionError("read_trace_csv found a bad row that is not there")
 
 
 def trace_to_csv(trace: CalibrationTrace) -> str:

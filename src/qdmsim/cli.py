@@ -11,6 +11,7 @@ ratios compare the three protocols without them.
 
 Each command is declared once, in _build_parser, bound to its handler;
 the handler adds its own inputs beyond config and seed to the digest.
+The parser is built at the first main() call of a process, not at import.
 
 Exit codes: 0 success, 1 config/usage error (a config file that is not
 UTF-8, a non-finite or non-positive --intensity), 2 domain or numeric
@@ -20,6 +21,7 @@ error (a trace file that is not UTF-8) or not enough memory, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -68,7 +70,11 @@ def _read_text(path: str, error: type[Exception]) -> str:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and then reused: parsing
+    leaves it unchanged, and each handler reads the helpers it calls from
+    this module when it runs."""
     parser = _Parser(prog="qdmsim", description=__doc__.splitlines()[0])
     parser.add_argument("--config", metavar="PATH",
                         help="config file (omit to use built-in defaults)")

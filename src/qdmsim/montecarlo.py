@@ -186,9 +186,10 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
     Signal rate is flux * (1 - contrast_at_delay), reference rate is flux.
     Each point averages Poisson counts over shots_per_point bins of
     CALIBRATION_BIN_US; noiseless returns the exact rates.  The decay
-    constant is evaluated once per trace, and each point's contrast is the
-    same float expression contrast_at_delay computes, so the rates are
-    bitwise those of calling it per point.
+    constant is evaluated once per trace and the exponents -t / tau_p are
+    divided as one array; each still goes through math.exp (np.exp may
+    differ in the last bit), so the rates are bitwise those of calling
+    contrast_at_delay per point.
     """
     grid = np.asarray(sweep_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
@@ -198,7 +199,8 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
         raise DomainError(f"shots_per_point must be >= 1, got {shots_per_point}")
     flux = photon_flux(model, intensity)
     tau_p = polarization_decay_time(model, intensity)
-    decay = np.array([model.c0 * math.exp(-t / tau_p) for t in grid.tolist()])
+    decay = model.c0 * np.fromiter(map(math.exp, (-grid / tau_p).tolist()),
+                                   float, grid.size)
     sig_rate = flux * (1.0 - decay)
     ref_rate = np.full_like(sig_rate, flux)
     if not noiseless:

@@ -191,8 +191,8 @@ def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     time t_d with t_z_step.
     """
     batch, overhead, slot = cycle_layout(protocol_tag, p)
-    if t_z_step is not None and t_z_step < 0:
-        raise DomainError(f"t_z_step must be >= 0, got {t_z_step}")
+    if t_z_step is not None and not 0 <= t_z_step < math.inf:
+        raise DomainError(f"t_z_step must be finite and >= 0, got {t_z_step}")
     full, partial = divmod(grid.n_voxels, batch)
     total = full * (overhead + batch * slot)
     if partial:

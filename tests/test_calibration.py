@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdmsim import (CalibrationTrace, DomainError, ExtractionError,
-                    LogQuadraticCurve, contrast,
+                    LogQuadraticCurve, PhotophysicsModel, contrast,
                     contrast_at_delay, extract_init_time,
                     extract_readout_time, extract_times, fit_log_quadratic,
-                    init_time, read_trace_csv, trace_to_csv)
+                    init_time, read_trace_csv, simulate_calibration,
+                    trace_to_csv)
+from qdmsim.calibration import TRACE_CSV_HEADER
 
 
 def exponential_trace(tau_p, t_max, n, c0=0.03, flux=15.0, intensity=1.0):
@@ -224,3 +227,119 @@ class TestTraceHygiene:
     def test_csv_header_enforced(self):
         with pytest.raises(DomainError):
             read_trace_csv("time,sig,ref\n0,1,1\n", 1.0)
+
+
+def reference_read_trace_csv(text, intensity):
+    """read_trace_csv as it was written before the one-pass parse: one
+    float() call per field, row by row."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1].replace(" ", "") != TRACE_CSV_HEADER:
+        raise DomainError(f"trace CSV must start with header {TRACE_CSV_HEADER!r}")
+    rows = []
+    for n, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise DomainError(f"trace CSV line {n}: expected 3 columns")
+        try:
+            rows.append(tuple(float(x) for x in parts))
+        except ValueError as exc:
+            raise DomainError(f"trace CSV line {n}: {exc}") from None
+    arr = np.array(rows, dtype=float).reshape(-1, 3)
+    return CalibrationTrace(intensity, arr[:, 0], arr[:, 1], arr[:, 2])
+
+
+def _outcome(parse, text):
+    """The columns' bits of a parse, or its exception type and message."""
+    try:
+        trace = parse(text, 1.0)
+    except Exception as exc:  # the type itself is compared
+        return type(exc), str(exc)
+    return tuple(col.view(np.int64).tobytes()
+                 for col in (trace.t_sweep, trace.sig_pl, trace.ref_pl))
+
+
+_HEADERS = [" t_sweep_us , sig_pl , ref_pl ",
+            "t_sweep_us, sig_pl,\tref_pl", "t_sweep_us,sig,ref",
+            "t_sweep_us,sig_pl,ref_pl,", "0,1,1"]
+_FIELDS = ["1", "2.5", "-0.0", "1e400", "1_0", "nan", "inf", "-inf", "", "x",
+           " 3 ", "\t4\t", "0x1", "1e", "\xa05", "1 # 2"]
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\n\n", "\n  \n",
+               "\n\t\n"]
+
+
+@st.composite
+def _trace_text(draw):
+    """Trace CSV text that is often malformed: odd headers, fields, column
+    counts and line breaks."""
+    odd_header = draw(st.integers(0, 3)) == 0
+    rows = [draw(st.sampled_from(_HEADERS)) if odd_header else TRACE_CSV_HEADER]
+    for i in range(draw(st.integers(0, 6))):
+        # mostly well-formed rows, so some texts parse all the way
+        row = [str(i), repr(1.0 + i), "10"]
+        flaw = draw(st.integers(0, 7))
+        if flaw == 0:
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from(_FIELDS))
+        elif flaw == 1:
+            row = (row + ["7"])[:draw(st.sampled_from([2, 4]))]
+        elif flaw == 2:
+            row.append("")  # a trailing comma
+        pad = draw(st.sampled_from(["", "", " ", "\t"]))
+        rows.append(pad + ",".join(row) + pad)
+    seps = [draw(st.sampled_from(_SEPARATORS)) for _ in rows]
+    return draw(st.sampled_from(["", "\n", "  \n"])) + "".join(
+        r + sep for r, sep in zip(rows, seps))
+
+
+class TestOnePassParse:
+    """read_trace_csv against the row-by-row reference parser."""
+
+    def test_bitwise_equal_on_simulated_traces(self):
+        model = PhotophysicsModel()
+        rng = np.random.default_rng(20261018)
+        for seed in range(240):
+            intensity = float(10.0 ** rng.uniform(-1.0, math.log10(5.0)))
+            grid = np.linspace(0.0, 1.25 * init_time(model, intensity),
+                               int(rng.integers(3, 400)))
+            trace = simulate_calibration(model, intensity, grid, 20, seed=seed,
+                                         noiseless=seed % 2 == 0)
+            text = trace_to_csv(trace)
+            got = read_trace_csv(text, intensity)
+            want = reference_read_trace_csv(text, intensity)
+            for a, b, c in zip((got.t_sweep, got.sig_pl, got.ref_pl),
+                               (want.t_sweep, want.sig_pl, want.ref_pl),
+                               (trace.t_sweep, trace.sig_pl, trace.ref_pl)):
+                assert a.dtype == b.dtype == np.float64
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+                assert np.array_equal(a.view(np.int64), c.view(np.int64))
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_trace_text())
+    def test_same_result_or_error_as_reference(self, text):
+        assert _outcome(read_trace_csv, text) == _outcome(
+            reference_read_trace_csv, text)
+
+    @pytest.mark.parametrize("text", [
+        TRACE_CSV_HEADER + "\n",
+        " t_sweep_us , sig_pl , ref_pl \r\n\r\n",
+        TRACE_CSV_HEADER + "\r\n0,1,1\r\n\r\n1, 2 ,\t3\r\n",
+        TRACE_CSV_HEADER + "\x0c0,1,1\u20281,2,3\n",
+        TRACE_CSV_HEADER + "\n0,1,1\n1,1_0,1\n",
+    ])
+    def test_edge_texts_parse_alike(self, text):
+        got = _outcome(read_trace_csv, text)
+        assert isinstance(got[0], bytes)
+        assert got == _outcome(reference_read_trace_csv, text)
+
+    @pytest.mark.parametrize("text, message", [
+        (TRACE_CSV_HEADER + "\n0,1,1\n1,x,1\n2,3\n", "line 3: could not convert"),
+        (TRACE_CSV_HEADER + "\n0,1,1\n1,2\n2,x,1\n", "line 3: expected 3 columns"),
+        (TRACE_CSV_HEADER + "\n0,1,1,\n", "line 2: expected 3 columns"),
+        (TRACE_CSV_HEADER + "\n0,1,\n", "line 2: could not convert"),
+        (TRACE_CSV_HEADER + "\r\n\r\n\x0c0,1,1\u20281,1,ref\n", "line 5:"),
+    ])
+    def test_first_bad_row_is_named(self, text, message):
+        with pytest.raises(DomainError, match=message):
+            read_trace_csv(text, 1.0)
+        assert _outcome(read_trace_csv, text) == _outcome(
+            reference_read_trace_csv, text)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qdmsim
+import qdmsim.cli
 
 from qdmsim import (ConfigError, default_config, default_config_text,
                     evaluate_point, parse_config, simulate_calibration,
@@ -449,6 +450,49 @@ class TestDeterministicOutputs:
         for p in out.iterdir():
             if p.name != "manifest.txt":
                 assert f"output {p.name} sha256" in manifest
+
+
+class TestParserCache:
+    """The argument parser is built once per process and reused by main()."""
+
+    def test_one_parser_per_process(self):
+        assert qdmsim.cli._build_parser() is qdmsim.cli._build_parser()
+
+    def test_not_built_at_import(self):
+        done = subprocess.run(
+            [sys.executable, "-c", "import qdmsim.cli; "
+             "print(qdmsim.cli._build_parser.cache_info().currsize)"],
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(qdmsim.__file__).resolve().parents[1])),
+            capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, model):
+        cfg = str(small_config(tmp_path))
+        trace = tmp_path / "trace.csv"
+        trace.write_text(trace_to_csv(simulate_calibration(
+            model, 1.0, np.linspace(0.0, 12.0, 200), 1, seed=3, noiseless=True)))
+        # The usage error parses --intensity before it fails; neither it nor
+        # eval's --seed may carry over into a later call.
+        calls = [("calibrate", "--intensity", "2.5"),
+                 ("eval", "--seed", "5"),
+                 ("calibrate", "--trace", str(trace)),
+                 ("plan", "--protocol", "conventional")]
+        for i, argv in enumerate(calls):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            code = run_cli("--config", cfg, *argv, "--out", str(here))
+            done = run_module("--config", cfg, *argv, "--out", str(fresh))
+            assert code == done.returncode == (1 if i == 0 else 0), done.stderr
+            if i == 0:
+                assert not here.exists() and not fresh.exists()
+                continue
+            assert ((here / "manifest.txt").read_bytes()
+                    == (fresh / "manifest.txt").read_bytes())
+        assert "master_seed = 5" in (tmp_path / "here1" / "manifest.txt").read_text()
+        assert read_report(tmp_path / "here2" / "calibrate_report.txt")[
+            "intensity_mw_per_um2"] != "2.5"
+        assert "master_seed = 5" not in (
+            tmp_path / "here3" / "manifest.txt").read_text()
 
 
 class TestInputDigest:

@@ -155,6 +155,17 @@ class TestPlanTotals:
             plan_acquisition(VoxelGrid(2, 2, 2, 1.0), make_params(),
                              CONVENTIONAL, t_z_step=-1.0)
 
+    @pytest.mark.parametrize("tag", [LCQDM, LEIBOLD, CONVENTIONAL])
+    @pytest.mark.parametrize("t_z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_step_rejected(self, tag, t_z):
+        # a NaN focus step once gave total_time nan instead of an error
+        with pytest.raises(DomainError, match="t_z_step must be finite"):
+            plan_acquisition(VoxelGrid(2, 2, 2, 1.0), make_params(), tag,
+                             t_z_step=t_z)
+        with pytest.raises(DomainError, match="t_z_step must be finite"):
+            qdmsim.scanplan._scan_total(VoxelGrid(2, 2, 2, 1.0), make_params(),
+                                        tag, t_z)
+
     def test_unknown_protocol(self):
         with pytest.raises(DomainError):
             plan_acquisition(VoxelGrid(2, 2, 1, 1.0), make_params(), "Bogus")
