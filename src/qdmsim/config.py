@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 from .errors import ConfigError, DomainError
@@ -102,6 +103,12 @@ class RunConfig:
     # -- derived objects ------------------------------------------------
 
     def model(self) -> PhotophysicsModel:
+        """The photophysics model; built once per config, then shared (it is
+        immutable, and each build runs the model's domination check)."""
+        return self._model
+
+    @cached_property
+    def _model(self) -> PhotophysicsModel:
         kwargs = {}
         if self.i_valid_min is not None:
             kwargs["valid_min"] = self.i_valid_min

@@ -152,10 +152,15 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
             ref = rng.poisson(lam_ref, size)
             estimates[lo:lo + size] = (ref - rng.poisson(lam_sig, size)) / lam_ref
 
-    signal_mean = float(np.mean(estimates))
+    # The reductions np.mean and np.std(ddof=1) run, without their dispatch;
+    # the values are bitwise theirs.
+    mean = np.add.reduce(estimates) / n
+    signal_mean = float(mean)
     warnings: tuple[str, ...] = ()
     if n >= 2:
-        signal_stderr = float(np.std(estimates, ddof=1) / math.sqrt(n))
+        deviation = estimates - mean
+        variance = np.add.reduce(deviation * deviation) / (n - 1)
+        signal_stderr = float(np.sqrt(variance) / math.sqrt(n))
     else:
         signal_stderr = 0.0
         warnings = ("n_trials too small to estimate a standard error",)

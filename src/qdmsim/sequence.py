@@ -21,7 +21,11 @@ code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
 (int64, -1 for none).  `build_cycle` fills them with strided assignments,
 the validator and the reductions (span, duty cycle) work on them directly,
 and `SequenceEvent` rows are made only on demand (`events`, `windows()`,
-`PulseSequence.from_events` for hand-built timelines).  A sequence holds at
+`PulseSequence.from_events` for hand-built timelines).  `PulseSequence(...)`
+and `from_events` check every column; a builder-made timeline skips the
+re-check of what holds by construction (dtypes, kind codes, voxels, per-event
+times) and keeps only the check that an overhead or slot did not overflow
+to inf, made in closed form.  A sequence holds at
 most MAX_EVENTS events; a larger cycle is a DomainError raised before any
 column is allocated, and its totals come from `cycle_layout` instead.
 
@@ -139,9 +143,17 @@ class PulseSequence:
         if (voxel < -1).any():
             raise DomainError(f"voxel indices must be >= 0 (or -1 for none), "
                               f"got {int(voxel.min())}")
-        for name, col in zip(("kind", "start", "duration", "voxel"), cols):
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+        _freeze(self, cols)
+
+    @classmethod
+    def _unchecked(cls, kind, start, duration, voxel, protocol_tag):
+        """Sequence from columns that hold every invariant by construction
+        (dtypes, equal lengths, kind range, finite non-negative times, voxel
+        >= -1); build_cycle's fast path."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "protocol_tag", protocol_tag)
+        _freeze(seq, (kind, start, duration, voxel))
+        return seq
 
     @classmethod
     def from_events(cls, events: Iterable[SequenceEvent],
@@ -199,6 +211,12 @@ class PulseSequence:
                  for k, s, d, v in zip(self.kind.tolist(), self.start.tolist(),
                                        self.duration.tolist(), self.voxel.tolist())]
         return "\n".join(lines) + "\n"
+
+
+def _freeze(seq: PulseSequence, cols) -> None:
+    for name, col in zip(("kind", "start", "duration", "voxel"), cols):
+        col.flags.writeable = False
+        object.__setattr__(seq, name, col)
 
 
 def _empty_columns(n_events: int, protocol_tag: str):
@@ -303,6 +321,13 @@ def build_cycle(protocol_tag: str, p: ProtocolParams,
             code, window_start + offset if offset else window_start, length)
         if addressed:
             voxel[i::width] = k
+    # The columns hold the constructor's invariants by construction, unless
+    # the overhead or a slot overflowed to inf.  The last event of the last
+    # slot has the largest start and the latest end, and its start includes
+    # the overhead, so its end alone decides; on overflow the checked
+    # constructor raises its usual error.
+    if math.isfinite(float(start[-1]) + float(duration[-1])):
+        return PulseSequence._unchecked(kind, start, duration, voxel, protocol_tag)
     return PulseSequence(kind, start, duration, voxel, protocol_tag)
 
 
@@ -368,31 +393,36 @@ def validate_sequence(seq: PulseSequence, p: ProtocolParams) -> ValidationReport
 
     start, voxel = seq.start, seq.voxel
     end = start + seq.duration
-    tol = _TIME_RTOL * max(1.0, seq.span())
+    span = float(end.max() - start.min()) if end.size else 0.0
+    tol = _TIME_RTOL * max(1.0, span)
     for i in (np.flatnonzero(start[1:] < start[:-1] - tol) + 1).tolist():
         violations.append(f"event {i} starts at {float(start[i])} before event {i - 1}")
 
     # Pulses grouped by voxel (event order kept within a voxel); each window
     # is paired with every pulse of its voxel and needs one that holds it.
+    # No pairing is done when no pulse shares a voxel with a window, as in
+    # LCQDM (no pulses) and Conventional (an init pulse on voxel -1).
     pulses = np.flatnonzero(seq.kind == _LASER)
-    pulses = pulses[np.argsort(voxel[pulses], kind="stable")]
     windows = np.flatnonzero(seq.kind == _WINDOW)
-    pulse_voxel = voxel[pulses]
-    lo = np.searchsorted(pulse_voxel, voxel[windows], side="left")
-    count = np.searchsorted(pulse_voxel, voxel[windows], side="right") - lo
-    total = int(count.sum())
-    pair_window = np.repeat(windows, count)
-    first_pair = np.cumsum(count) - count
-    pair_pulse = pulses[np.repeat(lo - first_pair, count) + np.arange(total)]
-    holds = ((start[pair_pulse] - tol <= start[pair_window])
-             & (end[pair_window] <= end[pair_pulse] + tol))
-    held = np.zeros(len(start), bool)
-    held[pair_window[holds]] = True
-    for i in windows[(count > 0) & ~held[windows]].tolist():
-        v = int(voxel[i])
-        violations.append(
-            f"readout window (event {i}) lies outside every laser pulse "
-            f"for voxel {v if v >= 0 else None}")
+    if pulses.size:
+        pulses = pulses[np.argsort(voxel[pulses], kind="stable")]
+        pulse_voxel, window_voxel = voxel[pulses], voxel[windows]
+        lo = np.searchsorted(pulse_voxel, window_voxel, side="left")
+        count = np.searchsorted(pulse_voxel, window_voxel, side="right") - lo
+        total = int(count.sum())
+        if total:
+            pair_window = np.repeat(windows, count)
+            first_pair = np.cumsum(count) - count
+            pair_pulse = pulses[np.repeat(lo - first_pair, count) + np.arange(total)]
+            holds = ((start[pair_pulse] - tol <= start[pair_window])
+                     & (end[pair_window] <= end[pair_pulse] + tol))
+            held = np.zeros(len(start), bool)
+            held[pair_window[holds]] = True
+            for i in windows[(count > 0) & ~held[windows]].tolist():
+                v = int(voxel[i])
+                violations.append(
+                    f"readout window (event {i}) lies outside every laser pulse "
+                    f"for voxel {v if v >= 0 else None}")
 
     if seq.protocol_tag in (LCQDM, LEIBOLD):
         mw_ends = end[seq.kind == _MW]

@@ -174,6 +174,24 @@ class TestConfigParsing:
         assert p.t_d == cfg.t_d
         assert p.t1 == cfg.t1
 
+    def test_model_built_once_per_config(self, monkeypatch):
+        builds = []
+        check = qdmsim.PhotophysicsModel._check_init_slower_below_saturation
+        monkeypatch.setattr(qdmsim.PhotophysicsModel,
+                            "_check_init_slower_below_saturation",
+                            lambda model: builds.append(model) or check(model))
+        cfg = parse_config(default_config_text())
+        cfg.protocol_params()
+        cfg.sweep_spec()
+        assert len(builds) == 1
+        assert cfg.model() is builds[0] is cfg.sweep_spec().model
+        # the cached model is no field: equality, text and replace ignore it
+        assert cfg == default_config() and hash(cfg) == hash(default_config())
+        assert parse_config(cfg.to_text()) == cfg
+        other = dataclasses.replace(cfg, c0=0.05)
+        assert other.model().c0 == 0.05 and cfg.model().c0 == cfg.c0
+        assert other.model() == dataclasses.replace(cfg.model(), c0=0.05)
+
 
 class TestCommands:
     def test_eval_matches_library(self, tmp_path, capsys):

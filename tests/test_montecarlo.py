@@ -440,6 +440,25 @@ class TestConfigValidation:
         if amplitude == 0.0:
             assert math.inf in dump
 
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2 * TRIAL_BLOCK + 5])
+    @pytest.mark.parametrize("amplitude, noiseless", [
+        (1.0, False), (1.0, True), (0.0, False), (0.0, True)])
+    @pytest.mark.parametrize("protocol", [LCQDM, LEIBOLD, CONVENTIONAL])
+    def test_signal_moments_are_numpys(self, model, protocol, amplitude,
+                                       noiseless, n):
+        # bitwise the values np.mean and np.std(ddof=1) give
+        cfg = sim_config(model, 1.0, n)
+        out = simulate_protocol(cfg, protocol, noiseless=noiseless,
+                                signal_amplitude=amplitude)
+        estimates = block_stream_estimates(cfg, protocol, noiseless, amplitude)
+        assert out.signal_mean.hex() == float(np.mean(estimates)).hex()
+        if n == 1:
+            assert out.signal_stderr == 0.0
+            assert "n_trials too small" in out.warnings[0]
+        else:
+            expected = float(np.std(estimates, ddof=1) / math.sqrt(n))
+            assert out.signal_stderr.hex() == expected.hex()
+
     # The model's c0 is 0.03, so 40 asks for a negative signal rate in the
     # first window; -1e30 asks for more signal photons than Poisson draws.
     @pytest.mark.parametrize("noiseless", [False, True])

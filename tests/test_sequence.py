@@ -441,6 +441,89 @@ class TestBuildCycleFollowsLayout:
             build_cycle(CONVENTIONAL, make_params(), 2)
 
 
+def checked_build(tag, p, n=None):
+    """build_cycle with every column passed through the checked constructor:
+    the reference for build_cycle's unchecked fast path."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(PulseSequence, "_unchecked",
+                  classmethod(lambda cls, *columns: cls(*columns)))
+        return build_cycle(tag, p, n)
+
+
+def build_outcome(build, *args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return build(*args)
+        except DomainError as exc:
+            return str(exc)
+
+
+# Durations up to the float maximum, with t1 at most a thousand slots, so
+# prelude and slot sums may overflow while a cycle stays small.
+overflow_param_strategy = st.builds(
+    lambda t_init_ls, t_init_conf, t_ro, t_mw, t_d, slots: make_params(
+        t_init_ls, t_init_conf, t_ro, t_mw, t_d,
+        min(slots * (t_ro + t_d), 1.7e308)),
+    *(st.floats(0.0, 1.7e308) for _ in range(2)),
+    st.floats(1e-300, 1.7e308), st.floats(0.0, 1.7e308), st.floats(0.0, 1.7e308),
+    st.floats(1e-3, 1e3))
+
+
+class TestUncheckedBuild:
+    @given(param_strategy, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_columns_pass_the_checked_constructor(self, p, data):
+        for tag in sequence.PROTOCOLS:
+            count = cycle_layout(tag, p)[0]
+            for n in (None, data.draw(st.integers(1, count), label=tag)):
+                seq = build_cycle(tag, p, n)
+                checked = PulseSequence(seq.kind, seq.start, seq.duration,
+                                        seq.voxel, tag)
+                assert checked == seq == checked_build(tag, p, n)
+                for name in ("kind", "start", "duration", "voxel"):
+                    col = getattr(seq, name)
+                    assert col.dtype == getattr(checked, name).dtype
+                    assert not col.flags.writeable
+
+    @given(overflow_param_strategy, st.sampled_from(sequence.PROTOCOLS))
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome_near_overflow(self, p, tag):
+        ours = build_outcome(build_cycle, tag, p)
+        ref = build_outcome(checked_build, tag, p)
+        assert type(ours) is type(ref) and ours == ref
+
+    # The checked constructor's messages, which the fast path must keep.
+    @pytest.mark.parametrize("tag, overrides, message", [
+        (LCQDM, dict(t_init_ls=1e308, t_mw=1e308),
+         "event 2 times must be finite and >= 0, got start=inf, duration=5.0"),
+        (CONVENTIONAL, dict(t_init_conf=1e308, t_mw=1e308),
+         "event 2 times must be finite and >= 0, got start=inf, duration=5.0"),
+        (LEIBOLD, dict(t_ro=1e308, t_init_conf=1e308),
+         "event 1 times must be finite and >= 0, got start=nan, duration=1e+308"),
+        (LCQDM, dict(t_ro=1.7e308, t_d=1.7e308),
+         "event 2 times must be finite and >= 0, got start=nan, duration=1.7e+308"),
+        (LEIBOLD, dict(t_mw=1.7e308, t_ro=1.7e308, t1=1e308),
+         "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
+        (CONVENTIONAL, dict(t_mw=1.7e308, t_ro=1.7e308),
+         "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
+    ])
+    def test_overflow_raises_as_before(self, tag, overrides, message):
+        p = make_params(**overrides)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError) as info:
+            build_cycle(tag, p)
+        assert str(info.value) == message
+
+    def test_overflowing_last_end_still_builds(self):
+        # every start and duration is finite, only the last end is not: the
+        # closed-form check falls back to the checked constructor, which
+        # accepts the columns as it always did
+        p = make_params(t_mw=1.7e308, t_ro=1e300, t_d=1e307, t1=1e307)
+        seq = build_cycle(LCQDM, p)
+        assert math.isinf(float(seq.start[-1]) + float(seq.duration[-1]))
+        assert seq == checked_build(LCQDM, p)
+
+
 class TestMaterializationBound:
     @pytest.mark.parametrize("builder", [build_lcqdm_cycle, build_leibold_cycle])
     def test_huge_cycle_fails_before_allocating(self, builder):
@@ -569,6 +652,63 @@ class TestValidation:
             "readout window (event 4) lies outside every laser pulse for voxel 0",
             "readout window (event 8) lies outside every laser pulse for voxel None")
         assert report == reference_validate(seq, p)
+
+
+def columns_sequence(rows, tag):
+    """Sequence from (kind code, start, duration, voxel) rows, voxel -1 kept."""
+    kind, start, duration, voxel = zip(*rows) if rows else ((), (), (), ())
+    return PulseSequence(np.array(kind, np.int8), np.array(start, float),
+                         np.array(duration, float), np.array(voxel, np.int64), tag)
+
+
+class TestPairingShortcut:
+    """Windows pair with pulses only through a shared voxel; where none is
+    shared the validator pairs nothing, and must still report alike."""
+
+    def test_pulses_on_no_window_voxel(self):
+        # pulse voxels interleave the window voxels but never meet them
+        rows = [(LASER_CODE, 0.0, 50.0, 1), (WINDOW_CODE, 1.0, 1.0, 0),
+                (LASER_CODE, 2.0, 1.0, 3), (WINDOW_CODE, 60.0, 1.0, 2),
+                (LASER_CODE, 70.0, 1.0, -1), (WINDOW_CODE, 80.0, 1.0, 4)]
+        p = make_params()
+        for tag in (*sequence.PROTOCOLS, CALIBRATION):
+            seq = columns_sequence(rows, tag)
+            report = validate_sequence(seq, p)
+            assert report == reference_validate(seq, p)
+            assert report.ok
+
+    def test_voxelless_window_pairs_with_voxelless_pulse(self):
+        # voxel -1 is a group of its own: the init pulse of a conventional
+        # cycle must hold a window that addresses no voxel either
+        p = make_params()
+        seq = build_conventional_cycle(p)
+        voxel = seq.voxel.copy()
+        voxel[seq.kind == WINDOW_CODE] = -1
+        inside = PulseSequence(seq.kind, seq.start, seq.duration, voxel,
+                               CONVENTIONAL)
+        report = validate_sequence(inside, p)
+        assert report == reference_validate(inside, p)
+        assert report.violations == (
+            "readout window (event 2) lies outside every laser pulse for voxel None",)
+        rows = [(LASER_CODE, 0.0, 5.0, -1), (WINDOW_CODE, 1.0, 2.0, -1),
+                (WINDOW_CODE, 4.0, 2.0, -1)]
+        seq = columns_sequence(rows, CONVENTIONAL)
+        report = validate_sequence(seq, p)
+        assert report == reference_validate(seq, p)
+        assert report.violations == (
+            "readout window (event 2) lies outside every laser pulse for voxel None",)
+
+    @given(st.lists(st.tuples(st.sampled_from(range(len(EVENT_KINDS))),
+                              st.floats(0.0, 50.0), st.floats(0.0, 20.0),
+                              st.integers(-1, 2)), max_size=14),
+           st.sampled_from((*sequence.PROTOCOLS, CALIBRATION)))
+    @settings(max_examples=300, deadline=None)
+    def test_hand_built_timelines(self, rows, tag):
+        # few voxels and many rows: several pulses per voxel, windows with
+        # and without pulses on their voxel, and timelines with neither
+        p = make_params(t1=30.0)
+        seq = columns_sequence(rows, tag)
+        assert validate_sequence(seq, p) == reference_validate(seq, p)
 
 
 class TestArrayValidatorMatchesReference:
