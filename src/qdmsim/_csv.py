@@ -1,13 +1,13 @@
 """Column-wise CSV text with each distinct value formatted once.
 
-The writers' columns repeat few values (a sweep axis, an AOM channel per
-raster row, the durations of a plan's cycles, a noiseless reference
-rate), and formatting a float costs far more than looking it up.  A
-column is keyed by its values, floats by their bit patterns, so -0.0 and
-0.0 stay apart and every NaN payload keeps its own text.  Each distinct
-key is formatted with repr once, and rows are joined column-wise.  repr
-and str agree on Python floats and ints, so the text is byte for byte
-what a row loop calling either on .tolist() values writes.
+Some writers' columns repeat few values (the durations of a plan's
+cycles, a noiseless reference rate), and formatting a float costs far
+more than looking it up.  A column is keyed by its values, floats by
+their bit patterns, so -0.0 and 0.0 stay apart and every NaN payload
+keeps its own text.  Each distinct key is formatted with repr once, and
+rows are joined column-wise.  repr and str agree on Python floats and
+ints, so the text is byte for byte what a row loop calling either on
+.tolist() values writes.
 """
 
 from __future__ import annotations

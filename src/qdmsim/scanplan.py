@@ -8,16 +8,21 @@ count.  The conventional protocol spends one full cycle per voxel.
 Beam pointing is an affine map per axis: each scan/descan AOM channel
 drives at f0 + slope * coordinate_um.  Descan slopes are typically
 opposite in sign so the collected PL stays on the fixed pinhole; the map
-is exactly invertible either way.
+is exactly invertible either way.  The map is separable: the x channels
+depend on ix alone and the y channels on iy alone, so a plan keeps the
+calibration, not a per-voxel table, and derives the table on access.
 
 The CSV writers print each float as Python's repr of it (the shortest
-text that reads back to the same double) and each integer in decimal.
-They format every distinct value once, column by column, and their text
-is byte for byte that of a row loop doing the same per value.
+text that reads back to the same double) and each integer in decimal,
+byte for byte what a row loop doing the same per value writes.  The RF
+table formats each axis once and lays the texts out in raster order;
+the cycle columns that rise strictly are printed directly, and only the
+cycle durations, which repeat, go through column_text.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -79,6 +84,11 @@ class AOMAxis:
         if self.f0 <= 0:
             raise DomainError(f"AOM base frequency must be positive, got {self.f0}")
 
+    def drive(self, index, pitch: float):
+        """Frequency in MHz at a lattice index (an int or an integer array)
+        along this axis; every drive frequency is computed here."""
+        return self.f0 + self.slope * (index * pitch)
+
 
 @dataclass(frozen=True)
 class AOMCalibration:
@@ -93,7 +103,9 @@ class AOMCalibration:
                                    ("scan_y", self.scan_y, grid.ny),
                                    ("descan_x", self.descan_x, grid.nx),
                                    ("descan_y", self.descan_y, grid.ny)):
-            worst = axis.f0 + axis.slope * (extent - 1) * grid.pitch
+            # drive is monotone in the index and positive at index 0, so
+            # only the far end can be non-positive
+            worst = axis.drive(extent - 1, grid.pitch)
             if worst <= 0:
                 raise DomainError(
                     f"AOM channel {name} drives a non-positive frequency "
@@ -108,12 +120,8 @@ def rf_for_voxel(voxel: tuple[int, int, int], grid: VoxelGrid,
     if not np.all((0 <= ix) & (ix < grid.nx) & (0 <= iy) & (iy < grid.ny)
                   & (0 <= iz) & (iz < grid.nz)):
         raise IndexError(f"voxel {voxel} outside grid")
-    x_um = ix * grid.pitch
-    y_um = iy * grid.pitch
-    return (cal.scan_x.f0 + cal.scan_x.slope * x_um,
-            cal.scan_y.f0 + cal.scan_y.slope * y_um,
-            cal.descan_x.f0 + cal.descan_x.slope * x_um,
-            cal.descan_y.f0 + cal.descan_y.slope * y_um)
+    return (cal.scan_x.drive(ix, grid.pitch), cal.scan_y.drive(iy, grid.pitch),
+            cal.descan_x.drive(ix, grid.pitch), cal.descan_y.drive(iy, grid.pitch))
 
 
 # Largest distance, in lattice steps, of an inverted frequency from a voxel.
@@ -154,32 +162,68 @@ RF_CSV_HEADER = "voxel_x,voxel_y,voxel_z,f_sx_mhz,f_sy_mhz,f_dx_mhz,f_dy_mhz"
 
 @dataclass(frozen=True, eq=False)
 class ScanPlan:
-    """Schedule of one protocol over a voxel grid, as record arrays.
+    """Schedule of one protocol over a voxel grid.
 
-    cycles has one row per cycle in scan order: voxel_start, voxel_end (flat
-    voxel indices, inclusive), start and duration (us).  rf_schedule, None
-    without an AOM calibration, has one row per voxel in raster order: ix,
-    iy, iz and the drive frequencies f_sx, f_sy, f_dx, f_dy (MHz).
+    cycles is a record array with one row per cycle in scan order:
+    voxel_start, voxel_end (flat voxel indices, inclusive), start and
+    duration (us).  cal is the AOM calibration the plan was checked
+    against, None without one.  The RF map is separable per axis, so the
+    plan stores no per-voxel frequencies: rf_csv formats each axis once,
+    and rf_schedule builds the per-voxel record array on first access.
     """
 
     protocol_tag: str
     grid: VoxelGrid
     cycles: np.recarray
     total_time: float  # us, end of the last cycle
-    rf_schedule: Optional[np.recarray]
+    cal: Optional[AOMCalibration]
+
+    @functools.cached_property
+    def rf_schedule(self) -> Optional[np.recarray]:
+        """One row per voxel in raster order: ix, iy, iz and the drive
+        frequencies f_sx, f_sy, f_dx, f_dy (MHz); None without a calibration."""
+        if self.cal is None:
+            return None
+        g = self.grid
+        iz, iy, ix = np.unravel_index(np.arange(g.n_voxels), (g.nz, g.ny, g.nx))
+        return np.rec.fromarrays([ix, iy, iz, *rf_for_voxel((ix, iy, iz), g, self.cal)],
+                                 names="ix,iy,iz,f_sx,f_sy,f_dx,f_dy")
 
     def cycles_csv(self) -> str:
         c = self.cycles
         return csv_text(CYCLES_CSV_HEADER, [
             map(str, range(len(c))),
-            *map(column_text, (c.voxel_start, c.voxel_end, c.start, c.duration))])
+            # these rise with the cycle, so no text would be shared; repr
+            # per value is byte-correct either way
+            *(map(repr, col.tolist()) for col in (c.voxel_start, c.voxel_end, c.start)),
+            column_text(c.duration)])
 
     def rf_csv(self) -> str:
-        if self.rf_schedule is None:
+        cal, g = self.cal, self.grid
+        if cal is None:
             raise DomainError("plan was built without an AOM calibration")
-        rf = self.rf_schedule
-        return csv_text(RF_CSV_HEADER, [column_text(rf[name])
-                                        for name in rf.dtype.names])
+        ix, iy = np.arange(g.nx), np.arange(g.ny)
+
+        # Each column depends on one axis index: format its values once, then
+        # lay them out over a z plane, x texts tiled once per row and each y
+        # text repeated along its row.
+        def along_x(values):
+            return list(map(repr, values.tolist())) * g.ny
+
+        def along_y(values):
+            texts = np.array(list(map(repr, values.tolist())), dtype=object)
+            return np.repeat(texts, g.nx).tolist()
+
+        head = map(",".join, zip(along_x(ix), along_y(iy)))
+        tail = map(",".join, zip(along_x(cal.scan_x.drive(ix, g.pitch)),
+                                 along_y(cal.scan_y.drive(iy, g.pitch)),
+                                 along_x(cal.descan_x.drive(ix, g.pitch)),
+                                 along_y(cal.descan_y.drive(iy, g.pitch))))
+        plane = list(zip(head, tail))
+        lines = [RF_CSV_HEADER]
+        for iz in range(g.nz):
+            lines += map(f",{iz},".join, plane)
+        return "\n".join(lines) + "\n"
 
 
 def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
@@ -227,14 +271,9 @@ def plan_acquisition(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     cycles = np.rec.fromarrays([first, last, start, duration],
                                names="voxel_start,voxel_end,start,duration")
 
-    schedule = None
     if cal is not None:
         cal.check_grid(grid)
-        iz, iy, ix = np.unravel_index(np.arange(n), (grid.nz, grid.ny, grid.nx))
-        schedule = np.rec.fromarrays(
-            [ix, iy, iz, *rf_for_voxel((ix, iy, iz), grid, cal)],
-            names="ix,iy,iz,f_sx,f_sy,f_dx,f_dy")
-    return ScanPlan(protocol_tag, grid, cycles, total, schedule)
+    return ScanPlan(protocol_tag, grid, cycles, total, cal)
 
 
 @dataclass(frozen=True)

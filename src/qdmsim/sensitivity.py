@@ -24,8 +24,10 @@ deriving the laser timescales from a photophysics model, which reproduces
 the characteristic comparison maps of the protocols.  SensitivityGrid.to_csv
 prints each float as Python's str of it, which equals its repr (the
 shortest text that reads back to the same double): nan for invalid cells,
-and 1 or 0 in the valid column.  Each distinct value is formatted once,
-and the text is byte for byte that of a cell-by-cell loop.
+and 1 or 0 in the valid column.  The two axes are formatted once per grid
+value by construction, their texts tiled and repeated over the cells, and
+each cell value is formatted directly; the text is byte for byte that of
+a cell-by-cell loop.
 """
 
 from __future__ import annotations
@@ -35,13 +37,16 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from ._csv import column_text, csv_text
+from ._csv import csv_text
 from .errors import DomainError, OutOfRangeError
 from .photophysics import PhotophysicsModel, init_time, readout_time
 from .sequence import ProtocolParams, cycle_layout
 
 #: Average of the first and last recurrent-readout SNR, 2 / (1 + e^-1).
 RECURRENT_SNR_PREFACTOR = 2.0 / (1.0 + math.exp(-1.0))
+
+#: Decimal text of each graymap level.
+_GREY_TEXT = tuple(map(str, range(256)))
 
 CSV_HEADER = ("i_conf_mw_per_um2,t_mw_us,eta_lc,eta_leibold,eta_conv,"
               "ratio_leibold_lc,ratio_conv_lc,valid")
@@ -193,13 +198,17 @@ class SensitivityGrid:
         return int(self.valid.sum())
 
     def to_csv(self) -> str:
-        t_mw, i_conf = np.meshgrid(self.spec.t_mw_grid, self.spec.i_conf_grid,
-                                   indexing="ij")
-        cols = (i_conf.astype(float), t_mw.astype(float),
-                self.eta_lcqdm, self.eta_leibold, self.eta_conventional,
-                self.ratio_leibold_over_lc, self.ratio_conv_over_lc,
-                self.valid.astype(int))
-        return csv_text(CSV_HEADER, map(column_text, cols))
+        n_t, n_i = self.eta_lcqdm.shape
+        # the intensity varies fastest: its texts tile once per row, and each
+        # t_mw text repeats along its row
+        i_conf = list(map(repr, map(float, self.spec.i_conf_grid))) * n_t
+        t_mw = np.repeat(np.array(list(map(repr, map(float, self.spec.t_mw_grid))),
+                                  dtype=object), n_i).tolist()
+        cells = (map(repr, a.ravel().tolist()) for a in (
+            self.eta_lcqdm, self.eta_leibold, self.eta_conventional,
+            self.ratio_leibold_over_lc, self.ratio_conv_over_lc))
+        valid = map(("0", "1").__getitem__, self.valid.ravel().tolist())
+        return csv_text(CSV_HEADER, [i_conf, t_mw, *cells, valid])
 
     def to_pgm(self, which: str = "conv_lc") -> str:
         """ASCII portable graymap (P2) of log10 of a ratio map.
@@ -215,7 +224,7 @@ class SensitivityGrid:
         lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 1.0)
         scale = 255.0 / (hi - lo) if hi > lo else 0.0
         levels = np.where(self.valid, np.rint((logs - lo) * scale), 0).astype(int)
-        rows = [" ".join(map(str, row)) for row in levels.tolist()]
+        rows = [" ".join(map(_GREY_TEXT.__getitem__, row)) for row in levels.tolist()]
         h, w = levels.shape
         return f"P2\n{w} {h}\n255\n" + "\n".join(rows) + "\n"
 

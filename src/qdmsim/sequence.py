@@ -310,6 +310,25 @@ def build_cycle(protocol_tag: str, p: ProtocolParams,
         raise DomainError(f"n_readouts must be an integer, got {n_readouts!r}") from None
     if not 1 <= n <= count:
         raise DomainError(f"n_readouts must be in [1, {count}], got {n}")
+    # The columns hold the constructor's invariants by construction, unless
+    # the overhead or a slot overflowed to inf.  The last event of the last
+    # slot has the largest start and the latest end, and its start includes
+    # the overhead, so its end alone decides; it is summed here in the order
+    # the columns sum it.  On overflow numpy's warnings are silenced, so the
+    # checked constructor raises its usual DomainError.
+    _, offset, length, _ = slot_events[-1]
+    if math.isfinite(overhead + (n - 1) * slot + offset + length):
+        return PulseSequence._unchecked(
+            *_cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag),
+            protocol_tag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PulseSequence(
+            *_cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag),
+            protocol_tag)
+
+
+def _cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag):
+    """build_cycle's kind, start, duration and voxel columns."""
     head, width = len(prelude), len(slot_events)
     kind, start, duration, voxel = _empty_columns(head + width * n, protocol_tag)
     for i, row in enumerate(prelude):
@@ -321,14 +340,7 @@ def build_cycle(protocol_tag: str, p: ProtocolParams,
             code, window_start + offset if offset else window_start, length)
         if addressed:
             voxel[i::width] = k
-    # The columns hold the constructor's invariants by construction, unless
-    # the overhead or a slot overflowed to inf.  The last event of the last
-    # slot has the largest start and the latest end, and its start includes
-    # the overhead, so its end alone decides; on overflow the checked
-    # constructor raises its usual error.
-    if math.isfinite(float(start[-1]) + float(duration[-1])):
-        return PulseSequence._unchecked(kind, start, duration, voxel, protocol_tag)
-    return PulseSequence(kind, start, duration, voxel, protocol_tag)
+    return kind, start, duration, voxel
 
 
 def build_lcqdm_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:

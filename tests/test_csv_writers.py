@@ -2,9 +2,12 @@
 
 Each reference_* below is the writer as it was before it went through
 qdmsim._csv: one repr/str per value and one f-string or join per row.
-The writers must return the same text, byte for byte, on seeded configs
-that cover invalid sweep columns (nan cells), a 1 x 1 x 1 grid, nz = 1,
-negative AOM slopes and plans with focus steps (t_z_step).
+The RF references compute every voxel from VoxelGrid.coords and
+rf_for_voxel, not from the plan, whose table the writer derives from the
+same calibration.  The writers must return the same text, byte for byte,
+on seeded configs and on random grids that cover invalid sweep columns
+(nan cells), a 1 x 1 x 1 grid, nz = 1, nx != ny, negative AOM slopes and
+plans with focus steps (t_z_step).
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ import qdmsim._csv
 from qdmsim import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, CalibrationTrace,
                     PhotophysicsModel, SimConfig, default_config, init_time,
                     plan_acquisition, simulate_calibration, simulate_protocol,
-                    sweep, trace_to_csv)
+                    rf_for_voxel, sweep, trace_to_csv)
 from qdmsim._csv import column_text, csv_text
 from qdmsim.cli import main
 from qdmsim.sensitivity import CSV_HEADER
@@ -34,11 +37,22 @@ def reference_cycles_csv(plan):
     return "\n".join(lines) + "\n"
 
 
-def reference_rf_csv(plan):
+def reference_rf_rows(grid, cal):
+    for v in range(grid.n_voxels):
+        voxel = grid.coords(v)
+        yield (*voxel, *rf_for_voxel(voxel, grid, cal))
+
+
+def reference_rf_csv(grid, cal):
     lines = ["voxel_x,voxel_y,voxel_z,f_sx_mhz,f_sy_mhz,f_dx_mhz,f_dy_mhz"]
-    for ix, iy, iz, fsx, fsy, fdx, fdy in plan.rf_schedule.tolist():
+    for ix, iy, iz, fsx, fsy, fdx, fdy in reference_rf_rows(grid, cal):
         lines.append(f"{ix},{iy},{iz},{fsx!r},{fsy!r},{fdx!r},{fdy!r}")
     return "\n".join(lines) + "\n"
+
+
+def reference_rf_schedule(grid, cal):
+    return np.rec.fromrecords(list(reference_rf_rows(grid, cal)),
+                              names="ix,iy,iz,f_sx,f_sy,f_dx,f_dy")
 
 
 def reference_to_csv(grid):
@@ -214,7 +228,51 @@ def test_plan_csvs_match_row_loop(seed, tag):
     plan = plan_acquisition(cfg.voxel_grid(), cfg.protocol_params(), tag,
                             cal=cfg.aom_calibration(), t_z_step=cfg.t_z_step)
     assert plan.cycles_csv() == reference_cycles_csv(plan)
-    assert plan.rf_csv() == reference_rf_csv(plan)
+    assert plan.rf_csv() == reference_rf_csv(cfg.voxel_grid(), cfg.aom_calibration())
+
+
+@st.composite
+def random_configs(draw):
+    """Configs over random grids: nx, ny and the sweep sizes in 1..13, nz in
+    1..3, pitch 0.1..10 um, signed AOM slopes that keep every frequency
+    positive, t_z_step set or not, and sweep ranges that may leave the
+    model's validity window."""
+    nx, ny = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    pitch = draw(st.floats(0.1, 10.0))
+    aom = {}
+    for axis, n in (("scan_x", nx), ("scan_y", ny), ("descan_x", nx),
+                    ("descan_y", ny)):
+        f0 = draw(st.floats(50.0, 150.0))
+        reach = 0.9 * f0 / max(1, n - 1) / pitch
+        aom[f"aom_{axis}_f0"] = f0
+        aom[f"aom_{axis}_slope"] = (draw(st.sampled_from([-1.0, 1.0]))
+                                    * draw(st.floats(0.01, 1.0)) * reach)
+    return dataclasses.replace(
+        default_config(), grid_nx=nx, grid_ny=ny, grid_nz=draw(st.integers(1, 3)),
+        grid_pitch=pitch, t_z_step=draw(st.none() | st.floats(0.0, 80.0)),
+        p_conf_min=10.0 ** draw(st.floats(-4.0, -2.0)),
+        p_conf_max=10.0 ** draw(st.floats(-0.5, 0.7)),
+        sweep_points_i=draw(st.integers(1, 13)),
+        sweep_points_t=draw(st.integers(1, 13)), **aom)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_configs(), st.sampled_from(PROTOCOLS))
+def test_writers_match_row_loops_on_random_grids(cfg, tag):
+    grid, cal = cfg.voxel_grid(), cfg.aom_calibration()
+    plan = plan_acquisition(grid, cfg.protocol_params(), tag, cal=cal,
+                            t_z_step=cfg.t_z_step)
+    assert plan.rf_csv() == reference_rf_csv(grid, cal)
+    assert plan.cycles_csv() == reference_cycles_csv(plan)
+    want = reference_rf_schedule(grid, cal)
+    got = plan.rf_schedule
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert plan.rf_schedule is got
+    bare = plan_acquisition(grid, cfg.protocol_params(), tag, t_z_step=cfg.t_z_step)
+    assert bare.rf_schedule is None
+    assert bare.cycles_csv() == plan.cycles_csv()
+    sweep_grid = sweep(cfg.sweep_spec())
+    assert sweep_grid.to_csv() == reference_to_csv(sweep_grid)
 
 
 class TestTraceCsv:

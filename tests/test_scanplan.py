@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,20 @@ class TestRfSchedule:
         assert plan.rf_schedule is None
         with pytest.raises(DomainError):
             plan.rf_csv()
+
+    def test_plan_holds_no_per_voxel_rf(self):
+        # 10**6 voxels: seven per-voxel columns would take over 50 MiB
+        cfg = default_config()
+        g = VoxelGrid(1000, 1000, 1, 0.1)
+        tracemalloc.start()
+        try:
+            plan = plan_acquisition(g, cfg.protocol_params(), LCQDM,
+                                    cal=cfg.aom_calibration())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert plan.cal == cfg.aom_calibration()
 
 
 class TestCsv:

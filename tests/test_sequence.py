@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -451,11 +452,10 @@ def checked_build(tag, p, n=None):
 
 
 def build_outcome(build, *args):
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return build(*args)
-        except DomainError as exc:
-            return str(exc)
+    try:
+        return build(*args)
+    except DomainError as exc:
+        return str(exc)
 
 
 # Durations up to the float maximum, with t1 at most a thousand slots, so
@@ -506,12 +506,16 @@ class TestUncheckedBuild:
          "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
         (CONVENTIONAL, dict(t_mw=1.7e308, t_ro=1.7e308),
          "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
+        (LEIBOLD, dict(t_mw=1.7e308, t_ro=1.7e308),
+         "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
     ])
     def test_overflow_raises_as_before(self, tag, overrides, message):
-        p = make_params(**overrides)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DomainError) as info:
-            build_cycle(tag, p)
+        # numpy warns nothing on the way: under warnings-as-errors the caller
+        # still gets the DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                build_cycle(tag, make_params(**overrides))
         assert str(info.value) == message
 
     def test_overflowing_last_end_still_builds(self):
