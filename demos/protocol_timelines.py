@@ -4,18 +4,18 @@ Builds one measurement cycle per protocol from a shared parameter set,
 prints the event timelines, and compares readout duty cycles.
 """
 
-from qdmsim import (ProtocolParams, build_calibration_sequence,
+from qdmsim import (LCQDM, LEIBOLD, ProtocolParams, build_calibration_sequence,
                     build_conventional_cycle, build_lcqdm_cycle,
-                    build_leibold_cycle, duty_cycle, recurrent_count_lcqdm,
-                    recurrent_count_leibold, validate_sequence)
+                    build_leibold_cycle, cycle_layout, duty_cycle,
+                    validate_sequence)
 
 
 def run_demo():
     # Short t1 so the full timelines stay printable; realistic ratios.
     p = ProtocolParams(t_init_ls=20.0, t_init_conf=20.0, t_ro_conf=5.0,
                        t_mw=100.0, t_d=0.1, t1=40.0)
-    print(f"readouts per light-sheet cycle : {recurrent_count_lcqdm(p)}")
-    print(f"readouts per reinit cycle      : {recurrent_count_leibold(p)}")
+    print(f"readouts per light-sheet cycle : {cycle_layout(LCQDM, p)[0]}")
+    print(f"readouts per reinit cycle      : {cycle_layout(LEIBOLD, p)[0]}")
     print()
 
     cycles = {

@@ -7,7 +7,8 @@ that steers the readout beam and keeps the collected PL on the pinhole.
 
 from qdmsim import (AOMAxis, AOMCalibration, CONVENTIONAL, LCQDM, LEIBOLD,
                     PhotophysicsModel, ProtocolParams, VoxelGrid, init_time,
-                    plan_acquisition, readout_time, speedup_report)
+                    plan_acquisition, readout_time, rf_for_voxel,
+                    speedup_report)
 
 
 def run_demo():
@@ -32,10 +33,12 @@ def run_demo():
     cal = AOMCalibration(scan_x=AOMAxis(80.0, 0.1), scan_y=AOMAxis(80.0, 0.1),
                          descan_x=AOMAxis(80.0, -0.1),
                          descan_y=AOMAxis(80.0, -0.1))
-    plan = plan_acquisition(VoxelGrid(4, 4, 1, 1.0), p, LCQDM, cal=cal)
+    tile = VoxelGrid(4, 4, 1, 1.0)
     print("\nRF schedule for a 4 x 4 tile (MHz):")
     print("  voxel      f_scan_x  f_scan_y  f_descan_x  f_descan_y")
-    for ix, iy, iz, fsx, fsy, fdx, fdy in plan.rf_schedule[:8]:
+    for v in range(8):
+        ix, iy, iz = tile.coords(v)
+        fsx, fsy, fdx, fdy = rf_for_voxel((ix, iy, iz), tile, cal)
         print(f"  ({ix},{iy},{iz})    {fsx:8.2f}  {fsy:8.2f}"
               f"  {fdx:10.2f}  {fdy:10.2f}")
     print("  ...")

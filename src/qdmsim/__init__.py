@@ -21,8 +21,8 @@ from .sequence import (CALIBRATION, CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS,
                        ProtocolParams, PulseSequence, SequenceEvent,
                        ValidationReport, build_calibration_sequence,
                        build_conventional_cycle, build_cycle, build_lcqdm_cycle,
-                       build_leibold_cycle, duty_cycle, recurrent_count_lcqdm,
-                       recurrent_count_leibold, validate_sequence)
+                       build_leibold_cycle, cycle_layout, duty_cycle,
+                       validate_sequence)
 from .sensitivity import (SensitivityGrid, SensitivityResult, SweepSpec,
                           RECURRENT_SNR_PREFACTOR, eta_conventional,
                           eta_exact, eta_lcqdm, eta_leibold, evaluate_point,
@@ -35,6 +35,6 @@ from .montecarlo import (PipelineResult, SimConfig, SimOutcome,
                          end_to_end_pipeline, simulate_calibration,
                          simulate_protocol)
 from .scanplan import (AOMAxis, AOMCalibration, ScanPlan, SpeedupReport,
-                       VoxelGrid, cycle_span_by_events, plan_acquisition,
-                       rf_for_voxel, speedup_report, voxel_for_rf)
+                       VoxelGrid, plan_acquisition, rf_for_voxel,
+                       speedup_report, voxel_for_rf)
 from .config import RunConfig, default_config, default_config_text, parse_config

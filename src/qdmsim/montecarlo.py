@@ -1,8 +1,9 @@
 """Photon shot-noise simulation of the measurement protocols.
 
 Serves as an independent check on the analytic sensitivity formulas and as
-a generator of synthetic calibration traces.  One shared photon model is
-used everywhere: a readout window of length t_ro at intensity I collects
+a generator of synthetic calibration traces, whose contrast decay comes from
+one photophysics.contrast_at_delay call per trace.  One shared photon model
+is used everywhere: a readout window of length t_ro at intensity I collects
 
     reference counts ~ Poisson(mu),            mu = photon_flux(I) * t_ro
     signal counts    ~ Poisson(mu * (1 - c0 * a * s_k))
@@ -44,11 +45,8 @@ import numpy as np
 
 from .calibration import CalibrationTrace, extract_times, fit_log_quadratic
 from .errors import DomainError
-# contrast_at_delay is no longer called here, but perfbench/tracing.py
-# counts curve evaluations by patching this module's binding of it.
-from .photophysics import (LogQuadraticCurve, PhotophysicsModel,  # noqa: F401
-                           contrast_at_delay, photon_flux,
-                           polarization_decay_time)
+from .photophysics import (LogQuadraticCurve, PhotophysicsModel,
+                           contrast_at_delay, photon_flux)
 from .sensitivity import readout_decay_sum
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, ProtocolParams,
                        build_conventional_cycle, build_lcqdm_cycle,
@@ -190,11 +188,9 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
 
     Signal rate is flux * (1 - contrast_at_delay), reference rate is flux.
     Each point averages Poisson counts over shots_per_point bins of
-    CALIBRATION_BIN_US; noiseless returns the exact rates.  The decay
-    constant is evaluated once per trace and the exponents -t / tau_p are
-    divided as one array; each still goes through math.exp (np.exp may
-    differ in the last bit), so the rates are bitwise those of calling
-    contrast_at_delay per point.
+    CALIBRATION_BIN_US; noiseless returns the exact rates.  The whole grid
+    goes to one contrast_at_delay call, which evaluates the decay constant
+    once per trace.
     """
     grid = np.asarray(sweep_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
@@ -203,10 +199,7 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
     if shots_per_point < 1:
         raise DomainError(f"shots_per_point must be >= 1, got {shots_per_point}")
     flux = photon_flux(model, intensity)
-    tau_p = polarization_decay_time(model, intensity)
-    decay = model.c0 * np.fromiter(map(math.exp, (-grid / tau_p).tolist()),
-                                   float, grid.size)
-    sig_rate = flux * (1.0 - decay)
+    sig_rate = flux * (1.0 - contrast_at_delay(model, intensity, grid))
     ref_rate = np.full_like(sig_rate, flux)
     if not noiseless:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

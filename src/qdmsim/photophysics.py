@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, OutOfRangeError
 
 # Default fitted window for the log-quadratic curves, mW/um^2.
@@ -168,13 +170,19 @@ def polarization_decay_time(model: PhotophysicsModel, intensity: float) -> float
 
 
 def contrast_at_delay(model: PhotophysicsModel, intensity: float,
-                      t_sweep: float) -> float:
+                      t_sweep: float | np.ndarray) -> float | np.ndarray:
     """Spin contrast after the readout laser has been on for t_sweep us.
 
     Single-exponential model c0 * exp(-t_sweep / tau_p); by construction the
-    contrast equals c0 / e^3 at t_sweep = init_time(intensity).
+    contrast equals c0 / e^3 at t_sweep = init_time(intensity).  t_sweep is
+    one delay (returns a float) or an array of them (returns an array, with
+    tau_p evaluated once).  Each exponential goes through math.exp, so an
+    element is bitwise the value of the scalar call at its delay.
     """
-    if t_sweep < 0:
-        raise DomainError(f"t_sweep must be >= 0, got {t_sweep}")
+    t = np.asarray(t_sweep, dtype=float)
+    if np.any(t < 0):
+        raise DomainError(f"t_sweep must be >= 0, got {t[t < 0][0]}")
     tau_p = polarization_decay_time(model, intensity)
-    return model.c0 * math.exp(-t_sweep / tau_p)
+    exponents = (-t / tau_p).ravel().tolist()
+    decay = model.c0 * np.fromiter(map(math.exp, exponents), float, t.size)
+    return float(decay[0]) if t.ndim == 0 else decay.reshape(t.shape)

@@ -10,7 +10,8 @@ drives at f0 + slope * coordinate_um.  Descan slopes are typically
 opposite in sign so the collected PL stays on the fixed pinhole; the map
 is exactly invertible either way.  The map is separable: the x channels
 depend on ix alone and the y channels on iy alone, so a plan keeps the
-calibration, not a per-voxel table, and derives the table on access.
+calibration, not a per-voxel table; rf_for_voxel gives one voxel's drive
+frequencies and ScanPlan.rf_csv the whole table.
 
 The CSV writers print each float as Python's repr of it (the shortest
 text that reads back to the same double) and each integer in decimal,
@@ -22,7 +23,6 @@ cycle durations, which repeat, go through column_text.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ import numpy as np
 from ._csv import column_text, csv_text
 from .errors import DomainError
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, ProtocolParams,
-                       build_cycle, cycle_layout)
+                       cycle_layout)
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,9 @@ class AOMCalibration:
 
 def rf_for_voxel(voxel: tuple[int, int, int], grid: VoxelGrid,
                  cal: AOMCalibration) -> tuple[float, float, float, float]:
-    """Drive frequencies (f_sx, f_sy, f_dx, f_dy) in MHz for one voxel, or
-    arrays of them when ix, iy and iz are integer arrays."""
+    """Drive frequencies (f_sx, f_sy, f_dx, f_dy) in MHz for one voxel."""
     ix, iy, iz = voxel
-    if not np.all((0 <= ix) & (ix < grid.nx) & (0 <= iy) & (iy < grid.ny)
-                  & (0 <= iz) & (iz < grid.nz)):
+    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 <= iz < grid.nz):
         raise IndexError(f"voxel {voxel} outside grid")
     return (cal.scan_x.drive(ix, grid.pitch), cal.scan_y.drive(iy, grid.pitch),
             cal.descan_x.drive(ix, grid.pitch), cal.descan_y.drive(iy, grid.pitch))
@@ -169,7 +167,7 @@ class ScanPlan:
     duration (us).  cal is the AOM calibration the plan was checked
     against, None without one.  The RF map is separable per axis, so the
     plan stores no per-voxel frequencies: rf_csv formats each axis once,
-    and rf_schedule builds the per-voxel record array on first access.
+    and rf_for_voxel gives any one voxel's.
     """
 
     protocol_tag: str
@@ -177,17 +175,6 @@ class ScanPlan:
     cycles: np.recarray
     total_time: float  # us, end of the last cycle
     cal: Optional[AOMCalibration]
-
-    @functools.cached_property
-    def rf_schedule(self) -> Optional[np.recarray]:
-        """One row per voxel in raster order: ix, iy, iz and the drive
-        frequencies f_sx, f_sy, f_dx, f_dy (MHz); None without a calibration."""
-        if self.cal is None:
-            return None
-        g = self.grid
-        iz, iy, ix = np.unravel_index(np.arange(g.n_voxels), (g.nz, g.ny, g.nx))
-        return np.rec.fromarrays([ix, iy, iz, *rf_for_voxel((ix, iy, iz), g, self.cal)],
-                                 names="ix,iy,iz,f_sx,f_sy,f_dx,f_dy")
 
     def cycles_csv(self) -> str:
         c = self.cycles
@@ -297,10 +284,3 @@ def speedup_report(grid: VoxelGrid, p: ProtocolParams) -> SpeedupReport:
         totals[LCQDM], totals[LEIBOLD], totals[CONVENTIONAL],
         totals[CONVENTIONAL] / totals[LCQDM],
         totals[LEIBOLD] / totals[LCQDM])
-
-
-def cycle_span_by_events(protocol_tag: str, p: ProtocolParams,
-                         n_voxels: int) -> float:
-    """Span of one cycle of n_voxels readouts, measured on its built timeline;
-    it shares the cycle declaration with plan_acquisition's closed form."""
-    return build_cycle(protocol_tag, p, n_voxels).span()

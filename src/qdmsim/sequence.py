@@ -13,8 +13,9 @@ sequence:
 
 Each protocol's cycle is declared once (`_CYCLES`): whether its readouts
 recur within t1, the prelude before the first readout, and the events of
-one readout slot.  `cycle_layout`, the recurrent counts and `build_cycle`
-(behind the three named builders) all derive from that declaration.
+one readout slot.  `cycle_layout` (whose first number is the count of
+readouts that fit in t1) and `build_cycle` (behind the three named
+builders) both derive from that declaration.
 
 A sequence is stored as four numpy columns in event order: `kind` (int8
 code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
@@ -282,20 +283,12 @@ def cycle_layout(protocol_tag: str, p: ProtocolParams
                  ) -> tuple[int, float, float]:
     """(readouts per full cycle, per-cycle overhead us, per-readout slot us).
 
-    A cycle of n readouts spans overhead + n * slot, and its k-th readout
-    window opens k * slot after the end of the MW block.
+    A recurrent protocol reads as many slots as fit in t1 (at least 1), the
+    conventional one reads once.  A cycle of n readouts spans overhead +
+    n * slot, and its k-th readout window opens k * slot after the end of
+    the MW block.
     """
     return _layout(protocol_tag, p)[:3]
-
-
-def recurrent_count_lcqdm(p: ProtocolParams) -> int:
-    """Readouts that fit in t1 when each costs t_ro_conf + t_d; at least 1."""
-    return cycle_layout(LCQDM, p)[0]
-
-
-def recurrent_count_leibold(p: ProtocolParams) -> int:
-    """Readouts that fit in t1 when each also pays t_init_conf; at least 1."""
-    return cycle_layout(LEIBOLD, p)[0]
 
 
 def build_cycle(protocol_tag: str, p: ProtocolParams,

@@ -16,7 +16,7 @@ import pytest
 
 from qdmsim import (CONVENTIONAL, LCQDM, LEIBOLD, PhotophysicsModel,
                     ProtocolParams, RECURRENT_SNR_PREFACTOR, SimConfig,
-                    VoxelGrid, cycle_span_by_events, default_config,
+                    VoxelGrid, build_cycle, default_config,
                     default_config_text, eta_conventional, eta_lcqdm,
                     eta_leibold, evaluate_point, extract_init_time,
                     extract_readout_time, end_to_end_pipeline,
@@ -237,7 +237,7 @@ def test_criterion_8_scan_accounting():
         lc = plan_acquisition(grid, p, LCQDM)
         assert lc.total_time == pytest.approx(52_320.0, rel=1e-12)
         event_total = sum(
-            cycle_span_by_events(LCQDM, p, c.voxel_end - c.voxel_start + 1)
+            build_cycle(LCQDM, p, c.voxel_end - c.voxel_start + 1).span()
             for c in lc.cycles)
         assert lc.total_time == pytest.approx(event_total, rel=1e-12)
         conv = plan_acquisition(grid, p, CONVENTIONAL)

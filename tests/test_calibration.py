@@ -145,6 +145,13 @@ class TestExtractTimes:
         assert times.t_init > times.t_ro
         assert not times.warnings
 
+    def test_no_positive_contrast(self):
+        # signal above reference at every delay: the contrast is negative
+        t = np.linspace(0.0, 10.0, 50)
+        trace = CalibrationTrace(1.0, t, np.full(50, 2.0), np.ones(50))
+        with pytest.raises(ExtractionError, match="no positive peak"):
+            extract_times(trace)
+
     def test_inverted_times_warn(self):
         # fast contrast decay puts the 1/e^3 crossing early, while a steep
         # late rise in flux drags the SNR argmax to the end of the trace
@@ -207,6 +214,10 @@ class TestTraceHygiene:
     def test_nonpositive_reference_rejected(self):
         with pytest.raises(DomainError):
             CalibrationTrace(1.0, [0.0, 1.0], [1, 1], [1, 0])
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(DomainError, match="equally long"):
+            CalibrationTrace(1.0, [0.0, 1.0, 2.0], [1, 1, 1], [1, 1])
 
     def test_csv_roundtrip(self):
         trace = exponential_trace(tau_p=3.0, t_max=9.0, n=10)

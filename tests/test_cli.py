@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qdmsim
 import qdmsim.cli
 
-from qdmsim import (ConfigError, default_config, default_config_text,
-                    evaluate_point, parse_config, simulate_calibration,
-                    trace_to_csv)
+from qdmsim import (ConfigError, OutOfRangeError, default_config,
+                    default_config_text, evaluate_point, init_time,
+                    parse_config, simulate_calibration, trace_to_csv)
 from qdmsim.cli import main
 
 
@@ -122,6 +122,22 @@ class TestConfigParsing:
             tracemalloc.stop()
         assert elapsed < 0.1
         assert peak < 2**20
+
+    def test_non_finite_optional_key(self):
+        with pytest.raises(ConfigError, match="t_z_step must be finite"):
+            parse_config(default_config_text() + "t_z_step = nan us\n")
+
+    def test_line_without_equals(self):
+        with pytest.raises(ConfigError, match="expected `key = value`"):
+            parse_config(default_config_text() + "grid_nx 100\n")
+
+    def test_validity_window_reaches_model(self):
+        cfg = parse_config(default_config_text() + "i_valid_min = 0.002 mW/um2\n"
+                           "i_valid_max = 8 mW/um2\n")
+        model = cfg.model()
+        assert (model.valid_min, model.valid_max) == (0.002, 8.0)
+        with pytest.raises(OutOfRangeError):
+            init_time(model, 0.001)
 
     def test_roundtrip(self):
         cfg = default_config()
@@ -297,6 +313,12 @@ class TestExitCodes:
         path.write_text(default_config_text().replace("t_d = 100 ns",
                                                       "t_d = -1 us"))
         assert run_cli("--config", str(path), "eval") == 1
+
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(default_config_text() + "t_z_step = nan us\n")
+        assert run_cli("--config", str(path), "eval") == 1
+        assert "t_z_step must be finite" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("--config", str(tmp_path / "nope.cfg"), "eval") == 3

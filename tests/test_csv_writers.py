@@ -50,11 +50,6 @@ def reference_rf_csv(grid, cal):
     return "\n".join(lines) + "\n"
 
 
-def reference_rf_schedule(grid, cal):
-    return np.rec.fromrecords(list(reference_rf_rows(grid, cal)),
-                              names="ix,iy,iz,f_sx,f_sy,f_dx,f_dy")
-
-
 def reference_to_csv(grid):
     t_mw, i_conf = np.meshgrid(grid.spec.t_mw_grid, grid.spec.i_conf_grid,
                                indexing="ij")
@@ -264,12 +259,7 @@ def test_writers_match_row_loops_on_random_grids(cfg, tag):
                             t_z_step=cfg.t_z_step)
     assert plan.rf_csv() == reference_rf_csv(grid, cal)
     assert plan.cycles_csv() == reference_cycles_csv(plan)
-    want = reference_rf_schedule(grid, cal)
-    got = plan.rf_schedule
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert plan.rf_schedule is got
     bare = plan_acquisition(grid, cfg.protocol_params(), tag, t_z_step=cfg.t_z_step)
-    assert bare.rf_schedule is None
     assert bare.cycles_csv() == plan.cycles_csv()
     sweep_grid = sweep(cfg.sweep_spec())
     assert sweep_grid.to_csv() == reference_to_csv(sweep_grid)

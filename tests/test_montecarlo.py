@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import qdmsim.montecarlo
+
 from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     ProtocolParams, SimConfig, build_leibold_cycle,
                     contrast_at_delay, contrast, end_to_end_pipeline,
                     eta_conventional, eta_exact, eta_lcqdm, eta_leibold,
                     extract_init_time, init_time, photon_flux, readout_time,
-                    recurrent_count_lcqdm, recurrent_count_leibold,
                     simulate_calibration, simulate_protocol)
 from qdmsim.montecarlo import CALIBRATION_BIN_US, TRIAL_BLOCK
 from qdmsim.sensitivity import readout_decay_sum
@@ -109,7 +110,7 @@ class TestNoiselessClosedForm:
         out = simulate_protocol(cfg, LCQDM, noiseless=True)
         p = cfg.params
         # independent accounting of the cycle and the unweighted decay mean
-        n = recurrent_count_lcqdm(p)
+        n = cycle_layout(LCQDM, p)[0]
         slot = p.t_ro_conf + p.t_d
         span = p.t_init_ls + p.t_mw + n * slot
         s = np.exp(-(np.arange(n) * slot) / p.t1)
@@ -223,7 +224,7 @@ class TestSufficientStatistics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.readouts_per_cycle == recurrent_count_lcqdm(p) >= 999_999_999
+        assert out.readouts_per_cycle == cycle_layout(LCQDM, p)[0] >= 999_999_999
         assert peak < 1 << 20
         assert abs(out.eta_empirical - eta_exact(p, LCQDM)) <= 4 * out.eta_stderr
 
@@ -243,8 +244,8 @@ class TestConsistencyWithSequence:
             lc = simulate_protocol(cfg, LCQDM, noiseless=True)
             lb = simulate_protocol(cfg, LEIBOLD, noiseless=True)
             cv = simulate_protocol(cfg, CONVENTIONAL, noiseless=True)
-            assert lc.readouts_per_cycle == recurrent_count_lcqdm(cfg.params)
-            assert lb.readouts_per_cycle == recurrent_count_leibold(cfg.params)
+            assert lc.readouts_per_cycle == cycle_layout(LCQDM, cfg.params)[0]
+            assert lb.readouts_per_cycle == cycle_layout(LEIBOLD, cfg.params)[0]
             assert cv.readouts_per_cycle == 1
 
 
@@ -286,8 +287,8 @@ class TestNullSignal:
 
 
 def reference_calibration(model, intensity, grid, shots, seed, noiseless):
-    """simulate_calibration as it was written before the decay constant was
-    hoisted: one contrast_at_delay call per delay point."""
+    """simulate_calibration with one scalar contrast_at_delay call per delay
+    point, where the package makes one call per trace."""
     grid = np.asarray(grid, dtype=float)
     flux = photon_flux(model, intensity)
     decay = np.array([contrast_at_delay(model, intensity, t) for t in grid])
@@ -316,6 +317,25 @@ class TestSimulateCalibration:
         for got, ref in zip((trace.t_sweep, trace.sig_pl, trace.ref_pl), want):
             assert got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
+
+    def test_one_decay_evaluation_per_trace(self, model, monkeypatch):
+        # The traced benchmark counts curve evaluations at this binding, so
+        # each trace must reach it exactly once.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return contrast_at_delay(*args)
+
+        monkeypatch.setattr(qdmsim.montecarlo, "contrast_at_delay", counting)
+        grid = np.linspace(0.0, 12.0, 400)
+        for noiseless in (True, False):
+            simulate_calibration(model, 1.0, grid, 64, seed=5, noiseless=noiseless)
+        assert len(calls) == 2
+        intensities = (0.1, 1.0, 3.0)
+        grids = [np.linspace(0.0, 1.4 * init_time(model, i), 400) for i in intensities]
+        end_to_end_pipeline(model, intensities, grids, 64, 7, noiseless=True)
+        assert len(calls) == 5
 
     def test_noiseless_recovers_contrast_model(self, model):
         grid = np.linspace(0.0, 10.0, 101)
@@ -413,6 +433,14 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimConfig(params=params_at(model, 1.0), model=model, i_conf=1.0,
                       n_trials=0, master_seed=0)
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_zero_readout_intensity(self, model, noiseless):
+        cfg = SimConfig(params=params_at(model, 1.0), model=model, i_conf=0.0,
+                        n_trials=10, master_seed=0)
+        with pytest.raises(DomainError,
+                           match="expected photon count per window is zero"):
+            simulate_protocol(cfg, LCQDM, noiseless=noiseless)
 
     def test_unknown_protocol(self, model):
         # a calibration sequence has a PulseSequence tag but is no protocol

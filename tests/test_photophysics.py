@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -151,6 +152,26 @@ class TestFluxAndContrast:
         with pytest.raises(DomainError):
             contrast_at_delay(model, 1.0, -0.5)
 
+    @pytest.mark.parametrize("intensity", [0.01, 0.3, 1.0, 7.0])
+    def test_contrast_array_matches_scalar_calls(self, model, intensity):
+        rng = np.random.default_rng(round(intensity * 100))
+        delays = rng.uniform(0.0, 3 * init_time(model, intensity), (4, 25))
+        got = contrast_at_delay(model, intensity, delays)
+        assert got.shape == delays.shape and got.dtype == np.float64
+        want = np.array([[contrast_at_delay(model, intensity, float(t))
+                          for t in row] for row in delays])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("delay", [0.0, 2.5, 3, np.float64(2.5)])
+    def test_scalar_delay_returns_float(self, model, delay):
+        assert type(contrast_at_delay(model, 1.0, delay)) is float
+
+    def test_one_negative_element_rejected(self, model):
+        delays = np.linspace(0.0, 10.0, 50)
+        delays[17] = -1e-9
+        with pytest.raises(DomainError, match="t_sweep must be >= 0"):
+            contrast_at_delay(model, 1.0, delays)
+
 
 class TestModelValidation:
     @pytest.mark.parametrize("kw", [dict(i_sat=0.0), dict(i_sat=-1.0),
@@ -163,6 +184,30 @@ class TestModelValidation:
     def test_curve_coefficients_must_be_finite(self):
         with pytest.raises(DomainError):
             LogQuadraticCurve(math.nan, 0.0, 0.0)
+
+    def test_inverted_validity_range(self):
+        with pytest.raises(DomainError, match="invalid validity range"):
+            PhotophysicsModel(valid_min=5, valid_max=1)
+
+    def test_saturation_below_window_skips_domination_check(self):
+        # readout slower than init everywhere: refused while i_sat lies
+        # inside the window, accepted once no sample lies at or below it
+        slow_readout = dict(init_curve=LogQuadraticCurve(0.0, 0.0, 0.0),
+                            readout_curve=LogQuadraticCurve(1.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="dominate"):
+            PhotophysicsModel(**slow_readout)
+        model = PhotophysicsModel(i_sat=0.0005, **slow_readout)
+        assert model.i_sat < model.valid_min
+
+    @pytest.mark.parametrize("intensity", [0.0, -1.0])
+    def test_curve_at_nonpositive_intensity(self, intensity):
+        with pytest.raises(DomainError, match="intensity must be positive"):
+            LogQuadraticCurve(0.7, -0.9, 0.1).duration(intensity)
+
+    @pytest.mark.parametrize("intensity", [-1.0, math.nan])
+    def test_flux_at_negative_or_nan_intensity(self, model, intensity):
+        with pytest.raises(DomainError, match="intensity must be finite and >= 0"):
+            photon_flux(model, intensity)
 
     @given(a=st.floats(-1, 2), b=st.floats(-1.5, 0),
            c=st.floats(0, 0.3), i=st.floats(0.001, 10))

@@ -7,10 +7,9 @@ import pytest
 import qdmsim.scanplan
 from qdmsim import (AOMAxis, AOMCalibration, CONVENTIONAL, DomainError, LCQDM,
                     LEIBOLD, PhotophysicsModel, ProtocolParams, VoxelGrid,
-                    build_conventional_cycle, cycle_span_by_events,
-                    default_config, init_time, plan_acquisition, readout_time,
-                    recurrent_count_lcqdm, rf_for_voxel, speedup_report,
-                    voxel_for_rf)
+                    build_conventional_cycle, build_cycle, default_config,
+                    init_time, plan_acquisition, readout_time, rf_for_voxel,
+                    speedup_report, voxel_for_rf)
 from qdmsim.sequence import cycle_layout
 
 
@@ -82,14 +81,14 @@ class TestPlanTotals:
             build_conventional_cycle(p).span(), rel=1e-12)
         lc = plan_acquisition(g, p, LCQDM)
         assert lc.total_time == pytest.approx(
-            cycle_span_by_events(LCQDM, p, 1), rel=1e-12)
+            build_cycle(LCQDM, p, 1).span(), rel=1e-12)
 
     def test_event_sum_equivalence(self):
         p = make_params()
         for tag in (LCQDM, LEIBOLD):
             plan = plan_acquisition(VoxelGrid(100, 100, 1, 1.0), p, tag)
             event_total = sum(
-                cycle_span_by_events(tag, p, c.voxel_end - c.voxel_start + 1)
+                build_cycle(tag, p, c.voxel_end - c.voxel_start + 1).span()
                 for c in plan.cycles)
             assert plan.total_time == pytest.approx(event_total, rel=1e-12)
 
@@ -184,7 +183,7 @@ class TestSpeedup:
         p = make_params(t_ro=50.0, t_d=0.0, t1=10.0, t_init_ls=5.0,
                         t_init_conf=20.0, t_mw=100.0)
         report = speedup_report(VoxelGrid(10, 10, 1, 1.0), p)
-        assert recurrent_count_lcqdm(p) == 1
+        assert cycle_layout(LCQDM, p)[0] == 1
         per_voxel_lc = p.t_init_ls + p.t_mw + p.t_ro_conf
         per_voxel_conv = p.t_init_conf + p.t_mw + p.t_ro_conf
         assert report.conventional_over_lcqdm == pytest.approx(
@@ -220,7 +219,7 @@ class TestSpeedup:
                             t_init_conf=init_time(model, i_conf),
                             t_ro=readout_time(model, i_conf),
                             t_mw=10.0 ** rng.uniform(0, 3))
-            cycles = math.ceil(g.n_voxels / recurrent_count_lcqdm(p))
+            cycles = math.ceil(g.n_voxels / cycle_layout(LCQDM, p)[0])
             if cycles * p.t_init_ls > g.n_voxels * p.t_init_conf:
                 continue
             checked += 1
@@ -292,27 +291,37 @@ class TestRfMapping:
             rf_for_voxel((4, 0, 0), g, default_cal())
 
     def test_arrays_match_per_voxel_calls(self):
+        # rf_csv drives each axis over an index array; every element must be
+        # bitwise what rf_for_voxel gives that voxel
         g = VoxelGrid(5, 3, 2, 0.7)
         cal = default_cal()
         ix, iy, iz = np.array([0, 4, 2]), np.array([0, 2, 1]), np.array([1, 0, 1])
-        columns = rf_for_voxel((ix, iy, iz), g, cal)
+        columns = (cal.scan_x.drive(ix, g.pitch), cal.scan_y.drive(iy, g.pitch),
+                   cal.descan_x.drive(ix, g.pitch), cal.descan_y.drive(iy, g.pitch))
         for k, voxel in enumerate(zip(ix.tolist(), iy.tolist(), iz.tolist())):
             assert tuple(col[k] for col in columns) == rf_for_voxel(voxel, g, cal)
 
-    # one voxel of three lies outside the 4 x 4 x 2 grid along one axis
+    # one voxel of three lies outside the 4 x 4 x 2 grid along one axis;
+    # rf_for_voxel takes the voxels one at a time, as numpy integers
     @pytest.mark.parametrize("axis, bad", [(0, 4), (0, -1), (1, 4), (1, -1),
                                            (2, 2), (2, -1)])
     def test_arrays_with_any_voxel_outside_grid(self, axis, bad):
         g = VoxelGrid(4, 4, 2, 1.0)
         voxels = [np.array([0, 1, 3]), np.array([0, 3, 2]), np.array([0, 1, 1])]
-        rf_for_voxel(voxels, g, default_cal())
         voxels[axis][1] = bad
+        first, outside, last = zip(*voxels)
+        rf_for_voxel(first, g, default_cal())
+        rf_for_voxel(last, g, default_cal())
         with pytest.raises(IndexError):
-            rf_for_voxel(voxels, g, default_cal())
+            rf_for_voxel(outside, g, default_cal())
 
     def test_zero_slope_rejected(self):
         with pytest.raises(DomainError):
             AOMAxis(80.0, 0.0)
+
+    def test_zero_base_frequency_rejected(self):
+        with pytest.raises(DomainError, match="base frequency must be positive"):
+            AOMAxis(0.0, 0.1)
 
     @pytest.mark.parametrize("f0, slope", [
         (math.nan, 0.1), (math.inf, 0.1), (80.0, math.nan), (80.0, math.inf),
@@ -334,20 +343,27 @@ class TestRfSchedule:
     def test_every_voxel_once(self):
         g = VoxelGrid(5, 4, 2, 1.0)
         plan = plan_acquisition(g, make_params(), LEIBOLD, cal=default_cal())
-        voxels = [(ix, iy, iz) for ix, iy, iz, *_ in plan.rf_schedule]
-        assert len(voxels) == g.n_voxels
+        voxels = [g.coords(v) for v in range(g.n_voxels)]
         assert len(set(voxels)) == g.n_voxels
+        for voxel in voxels:
+            freqs = rf_for_voxel(voxel, g, plan.cal)
+            assert voxel_for_rf(freqs, g, plan.cal, iz=voxel[2]) == voxel
 
     def test_schedule_frequencies_match_map(self):
-        g = VoxelGrid(3, 3, 1, 2.0)
+        g = VoxelGrid(3, 3, 2, 2.0)
         cal = default_cal()
         plan = plan_acquisition(g, make_params(), CONVENTIONAL, cal=cal)
-        for ix, iy, iz, *freqs in plan.rf_schedule:
-            assert tuple(freqs) == rf_for_voxel((ix, iy, iz), g, cal)
+        rows = plan.rf_csv().splitlines()[1:]
+        assert len(rows) == g.n_voxels
+        for v, row in enumerate(rows):
+            voxel = g.coords(v)
+            fields = row.split(",")
+            assert tuple(map(int, fields[:3])) == voxel
+            assert tuple(map(float, fields[3:])) == rf_for_voxel(voxel, g, cal)
 
     def test_no_cal_no_schedule(self):
         plan = plan_acquisition(VoxelGrid(2, 2, 1, 1.0), make_params(), LCQDM)
-        assert plan.rf_schedule is None
+        assert plan.cal is None
         with pytest.raises(DomainError):
             plan.rf_csv()
 

@@ -173,6 +173,25 @@ class TestSweep:
             SweepSpec(i_conf_grid=(1.0,), t_mw_grid=(10.0,), i_ls=100.0,
                       model=model, t1=5000.0, t_d=0.1)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(i_conf_grid=()), "i_conf_grid must be non-empty"),
+        (dict(t_mw_grid=()), "t_mw_grid must be non-empty"),
+        (dict(t_mw_grid=(10.0, math.inf)), "t_mw_grid must be finite"),
+        (dict(t1=math.inf), "t1 must be finite and positive"),
+        (dict(t_d=-1.0), "t_d must be finite and >= 0"),
+    ])
+    def test_spec_refusals(self, model, overrides, message):
+        fields = dict(i_conf_grid=(1.0,), t_mw_grid=(10.0,), i_ls=0.2,
+                      model=model, t1=5000.0, t_d=0.1)
+        with pytest.raises(DomainError, match=message):
+            SweepSpec(**{**fields, **overrides})
+
+    def test_unknown_ratio_map(self, model):
+        spec = SweepSpec(i_conf_grid=(1.0,), t_mw_grid=(10.0,), i_ls=0.2,
+                         model=model, t1=5000.0, t_d=0.1)
+        with pytest.raises(DomainError, match="unknown ratio map 'bogus'"):
+            sweep(spec).to_pgm("bogus")
+
     def test_grid_must_increase(self, model):
         with pytest.raises(DomainError):
             SweepSpec(i_conf_grid=(1.0, 1.0), t_mw_grid=(10.0,), i_ls=0.2,

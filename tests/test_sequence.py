@@ -13,8 +13,7 @@ from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     ProtocolParams, PulseSequence, SequenceEvent,
                     ValidationReport, build_calibration_sequence,
                     build_conventional_cycle, build_cycle, build_lcqdm_cycle,
-                    build_leibold_cycle, duty_cycle, recurrent_count_lcqdm,
-                    recurrent_count_leibold, validate_sequence)
+                    build_leibold_cycle, duty_cycle, validate_sequence)
 from qdmsim import sequence
 from qdmsim.sequence import (CONFOCAL_LASER_PULSE, DEAD_TIME, EVENT_KINDS,
                              LIGHT_SHEET_PULSE, MW_BLOCK, READOUT_WINDOW,
@@ -67,7 +66,7 @@ def reference_timeline(tag, p, t_sweep=2.0):
                 E(MW_BLOCK, p.t_init_ls, p.t_mw)]
         base = p.t_init_ls + p.t_mw
         slot = p.t_ro_conf + p.t_d
-        for k in range(recurrent_count_lcqdm(p)):
+        for k in range(cycle_layout(LCQDM, p)[0]):
             start = base + k * slot
             rows.append(E(READOUT_WINDOW, start, p.t_ro_conf, k))
             rows.append(E(DEAD_TIME, start + p.t_ro_conf, p.t_d))
@@ -75,7 +74,7 @@ def reference_timeline(tag, p, t_sweep=2.0):
         rows = [E(MW_BLOCK, 0.0, p.t_mw)]
         slot = p.t_ro_conf + p.t_init_conf + p.t_d
         dwell = p.t_ro_conf + p.t_init_conf
-        for k in range(recurrent_count_leibold(p)):
+        for k in range(cycle_layout(LEIBOLD, p)[0]):
             start = p.t_mw + k * slot
             rows.append(E(READOUT_WINDOW, start, p.t_ro_conf, k))
             rows.append(E(CONFOCAL_LASER_PULSE, start, dwell, k))
@@ -236,33 +235,33 @@ near_integer_pairs = st.builds(
 
 class TestRecurrentCounts:
     def test_lcqdm_table_values(self):
-        assert recurrent_count_lcqdm(make_params()) == 980
-        assert recurrent_count_lcqdm(make_params(t_ro=50.0, t_d=0.0)) == 100
+        assert cycle_layout(LCQDM, make_params())[0] == 980
+        assert cycle_layout(LCQDM, make_params(t_ro=50.0, t_d=0.0))[0] == 100
 
     def test_lcqdm_exact_fit(self):
         p = make_params(t_ro=5.0, t_d=0.1, t1=5.1)
-        assert recurrent_count_lcqdm(p) == 1
+        assert cycle_layout(LCQDM, p)[0] == 1
 
     def test_leibold_table_values(self):
-        assert recurrent_count_leibold(make_params()) == 199
-        assert recurrent_count_leibold(
-            make_params(t_ro=10.0, t_init_conf=50.0)) == 83
+        assert cycle_layout(LEIBOLD, make_params())[0] == 199
+        assert cycle_layout(
+            LEIBOLD, make_params(t_ro=10.0, t_init_conf=50.0))[0] == 83
 
     def test_leibold_exact_fit(self):
         p = make_params(t_ro=5.0, t_init_conf=20.0, t_d=0.1, t1=25.1)
-        assert recurrent_count_leibold(p) == 1
+        assert cycle_layout(LEIBOLD, p)[0] == 1
 
     def test_minimum_one(self):
         p = make_params(t_ro=50.0, t_d=0.0, t1=10.0)
-        assert recurrent_count_lcqdm(p) == 1
-        assert recurrent_count_leibold(p) == 1
+        assert cycle_layout(LCQDM, p)[0] == 1
+        assert cycle_layout(LEIBOLD, p)[0] == 1
 
     def test_overflowing_count_is_domain_error(self):
         p = make_params(t_init_conf=0.0, t_ro=1e-300, t_d=0.0, t1=1e300)
         with pytest.raises(DomainError, match="overflows"):
-            recurrent_count_lcqdm(p)
+            cycle_layout(LCQDM, p)[0]
         with pytest.raises(DomainError, match="overflows"):
-            recurrent_count_leibold(p)
+            cycle_layout(LEIBOLD, p)[0]
 
     @given(st.one_of(near_integer_pairs,
                      st.tuples(st.floats(1e-3, 1e15), st.floats(1e-3, 1e3))))
@@ -285,7 +284,7 @@ class TestRecurrentCounts:
 
     @given(param_strategy)
     def test_lcqdm_never_below_leibold(self, p):
-        assert recurrent_count_lcqdm(p) >= recurrent_count_leibold(p)
+        assert cycle_layout(LCQDM, p)[0] >= cycle_layout(LEIBOLD, p)[0]
 
 
 class TestLcqdmBuilder:
@@ -409,6 +408,10 @@ class TestInputHygiene:
             build_lcqdm_cycle(make_params(), n_readouts=n)
         with pytest.raises(DomainError, match="integer"):
             build_leibold_cycle(make_params(), n_readouts=n)
+
+    def test_unknown_protocol_tag_rejected(self):
+        with pytest.raises(DomainError, match="unknown protocol tag 'Bogus'"):
+            PulseSequence(np.array([2], np.int8), [0.0], [1.0], [-1], "Bogus")
 
     def test_numpy_integer_readout_count_accepted(self):
         p = make_params()
@@ -803,7 +806,7 @@ class TestDutyCycle:
         # (With a short train and a slow sheet the ordering genuinely flips.)
         if p.t_init_conf == 0.0 or p.t_mw == 0.0:
             return
-        if recurrent_count_lcqdm(p) * p.t_init_conf < p.t_init_ls:
+        if cycle_layout(LCQDM, p)[0] * p.t_init_conf < p.t_init_ls:
             return
         lc = duty_cycle(build_lcqdm_cycle(p))
         leib = duty_cycle(build_leibold_cycle(p))
