@@ -11,11 +11,8 @@ readouts) and within their standard error of eta_exact.
 """
 
 from qdmsim import (CONVENTIONAL, LCQDM, LEIBOLD, PhotophysicsModel,
-                    ProtocolParams, SimConfig, eta_conventional, eta_exact,
-                    eta_lcqdm, eta_leibold, init_time, readout_time,
-                    simulate_protocol)
-
-ANALYTIC = {LCQDM: eta_lcqdm, LEIBOLD: eta_leibold, CONVENTIONAL: eta_conventional}
+                    ProtocolParams, SimConfig, eta_exact, eta_paper,
+                    init_time, readout_time, simulate_protocol)
 
 
 def run_demo():
@@ -36,7 +33,7 @@ def run_demo():
         cfg = SimConfig(params=p, model=model, i_conf=i_conf,
                         n_trials=n_trials, master_seed=417)
         out = simulate_protocol(cfg, protocol)
-        analytic = ANALYTIC[protocol](p)
+        analytic = eta_paper(p, protocol)
         gap = (out.eta_empirical - analytic) / analytic
         exact = eta_exact(p, protocol)
         z = (out.eta_empirical - exact) / out.eta_stderr

@@ -24,13 +24,12 @@ from .sequence import (CALIBRATION, CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS,
                        build_leibold_cycle, cycle_layout, duty_cycle,
                        validate_sequence)
 from .sensitivity import (SensitivityGrid, SensitivityResult, SweepSpec,
-                          RECURRENT_SNR_PREFACTOR, eta_conventional,
-                          eta_exact, eta_lcqdm, eta_leibold, evaluate_point,
-                          log_grid, sweep, time_reduction_factor)
-from .calibration import (CalibrationTrace, ExtractedTimes, contrast,
-                          extract_init_time, extract_readout_time,
-                          extract_times, fit_log_quadratic, read_trace_csv,
-                          trace_to_csv)
+                          RECURRENT_SNR_PREFACTOR, eta_exact, eta_paper,
+                          evaluate_point, log_grid, sweep,
+                          time_reduction_factor)
+from .calibration import (CalibrationTrace, ExtractedTimes, extract_init_time,
+                          extract_readout_time, extract_times,
+                          fit_log_quadratic, read_trace_csv, trace_to_csv)
 from .montecarlo import (PipelineResult, SimConfig, SimOutcome,
                          end_to_end_pipeline, simulate_calibration,
                          simulate_protocol)

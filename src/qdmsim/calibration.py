@@ -1,12 +1,14 @@
 """Extraction of readout/initialization times from delay-sweep traces.
 
 A trace holds signal and reference PL rates versus the laser-on delay
-t_sweep.  From the contrast series (ref - sig) / ref two timescales are
-pulled out:
+t_sweep.  CalibrationTrace.contrast_series is the package's one definition
+of PL contrast, (ref - sig) / ref per delay, and the trace refuses a
+reference that is not positive everywhere.  From that series two
+timescales are pulled out:
 
-* t_init: the first delay at which contrast has fallen to 1/e^3 of its
-  peak (linearly interpolated), i.e. the laser duration that repolarizes
-  the spins to >~95%.
+* t_init: the first delay after the peak at which contrast has fallen to
+  1/e^3 of its peak (linearly interpolated), i.e. the laser duration that
+  repolarizes the spins to >~95%.
 * t_ro:   the delay that maximizes average contrast times the square root
   of collected reference photons over the window [0, t] - the readout
   length with the best shot-noise-limited SNR.  Cumulative quantities use
@@ -90,13 +92,6 @@ class ExtractedTimes:
     warnings: tuple[str, ...] = ()
 
 
-def contrast(sig_pl: float, ref_pl: float) -> float:
-    """PL contrast (ref - sig) / ref; ref must be positive."""
-    if ref_pl <= 0:
-        raise DomainError(f"ref_pl must be positive, got {ref_pl}")
-    return (ref_pl - sig_pl) / ref_pl
-
-
 def _require_usable(trace: CalibrationTrace) -> np.ndarray:
     if len(trace) < 3:
         raise ExtractionError(f"trace has {len(trace)} samples, need at least 3")
@@ -112,13 +107,14 @@ def extract_init_time(trace: CalibrationTrace) -> float:
     t = trace.t_sweep
     peak_idx = int(np.argmax(c))
     threshold = c[peak_idx] * E_CUBED_DECAY
-    for j in range(peak_idx + 1, len(trace)):
-        if c[j] <= threshold:
-            # Linear interpolation between the bracketing samples.
-            frac = (c[j - 1] - threshold) / (c[j - 1] - c[j])
-            return float(t[j - 1] + frac * (t[j] - t[j - 1]))
-    raise ExtractionError(
-        "contrast never decays to 1/e^3 of its peak; trace too short")
+    below = np.flatnonzero(c[peak_idx + 1:] <= threshold)
+    if not below.size:
+        raise ExtractionError(
+            "contrast never decays to 1/e^3 of its peak; trace too short")
+    j = peak_idx + 1 + int(below[0])
+    # Linear interpolation between the bracketing samples.
+    frac = (c[j - 1] - threshold) / (c[j - 1] - c[j])
+    return float(t[j - 1] + frac * (t[j] - t[j - 1]))
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -177,11 +177,13 @@ def contrast_at_delay(model: PhotophysicsModel, intensity: float,
     contrast equals c0 / e^3 at t_sweep = init_time(intensity).  t_sweep is
     one delay (returns a float) or an array of them (returns an array, with
     tau_p evaluated once).  Each exponential goes through math.exp, so an
-    element is bitwise the value of the scalar call at its delay.
+    element is bitwise the value of the scalar call at its delay.  A delay
+    that is not >= 0 (negative or nan) is a DomainError; +inf gives 0.
     """
     t = np.asarray(t_sweep, dtype=float)
-    if np.any(t < 0):
-        raise DomainError(f"t_sweep must be >= 0, got {t[t < 0][0]}")
+    bad = ~(t >= 0)
+    if np.any(bad):
+        raise DomainError(f"t_sweep must be >= 0, got {t[bad][0]}")
     tau_p = polarization_decay_time(model, intensity)
     exponents = (-t / tau_p).ravel().tolist()
     decay = model.c0 * np.fromiter(map(math.exp, exponents), float, t.size)

@@ -4,15 +4,17 @@ Sensitivity eta = sqrt(t) / SNR, in sqrt(us) with the readout SNR
 normalized to 1 at the start of spin relaxation; smaller is better.  With
 the recurrent protocols the initialization and MW overhead amortizes over
 every readout that fits in t1, and the SNR averaged between the first and
-last readout contributes the prefactor 2 / (1 + 1/e):
+last readout contributes the prefactor 2 / (1 + 1/e).  eta_paper(p, tag)
+gives the paper's form (Barry et al.'s sensitivity convention) of each
+protocol:
 
-    eta_lcqdm        = 2/(1+1/e) * sqrt((t_init_ls + t_mw + t1) * (t_ro + t_d) / t1)
-    eta_leibold      = 2/(1+1/e) * sqrt((t_mw + t1) * (t_ro + t_init_conf + t_d) / t1)
-    eta_conventional = sqrt(t_mw + t_ro + t_init_conf + t_d)
+    LCQDM        2/(1+1/e) * sqrt((t_init_ls + t_mw + t1) * (t_ro + t_d) / t1)
+    Leibold      2/(1+1/e) * sqrt((t_mw + t1) * (t_ro + t_init_conf + t_d) / t1)
+    Conventional sqrt(t_mw + t_ro + t_init_conf + t_d)
 
-eta_exact is the same accounting without the endpoint average: a cycle of
-W readouts spanning T gives sqrt(T / W) / mean_k exp(-k * slot / t1), the
-value the shot-noise Monte Carlo converges to.  When the readouts fill t1
+eta_exact(p, tag) is the same accounting without the endpoint average: a
+cycle of W readouts spanning T gives sqrt(T / W) / mean_k exp(-k * slot / t1),
+the value the shot-noise Monte Carlo converges to.  When the readouts fill t1
 the mean of the exponential is 1 - 1/e, not the endpoint average
 (1 + 1/e) / 2, so the paper's recurrent formulas read low by the factor
 (1 + 1/e) / (2 * (1 - 1/e)) = 1.0820: a systematic 8.2% gap that does not
@@ -40,7 +42,7 @@ import numpy as np
 from ._csv import csv_text
 from .errors import DomainError, OutOfRangeError
 from .photophysics import PhotophysicsModel, init_time, readout_time
-from .sequence import ProtocolParams, cycle_layout
+from .sequence import PROTOCOLS, ProtocolParams, cycle_layout
 
 #: Average of the first and last recurrent-readout SNR, 2 / (1 + e^-1).
 RECURRENT_SNR_PREFACTOR = 2.0 / (1.0 + math.exp(-1.0))
@@ -53,7 +55,8 @@ CSV_HEADER = ("i_conf_mw_per_um2,t_mw_us,eta_lc,eta_leibold,eta_conv,"
 
 
 def _etas(t_init_ls, t_init_conf, t_ro_conf, t_mw, t_d, t1):
-    """The three etas from ProtocolParams fields in order; broadcasts."""
+    """The paper's three etas, in PROTOCOLS order (LCQDM, Leibold,
+    Conventional), from ProtocolParams fields in order; broadcasts."""
     lc = RECURRENT_SNR_PREFACTOR * np.sqrt(
         (t_init_ls + t_mw + t1) * (t_ro_conf + t_d) / t1)
     leibold = RECURRENT_SNR_PREFACTOR * np.sqrt(
@@ -61,19 +64,12 @@ def _etas(t_init_ls, t_init_conf, t_ro_conf, t_mw, t_d, t1):
     return lc, leibold, np.sqrt(t_mw + t_ro_conf + t_init_conf + t_d)
 
 
-def eta_lcqdm(p: ProtocolParams) -> float:
-    """Sensitivity of the light-sheet protocol with recurrent readout, sqrt(us)."""
-    return float(_etas(*astuple(p))[0])
-
-
-def eta_leibold(p: ProtocolParams) -> float:
-    """Sensitivity of the recurrent readout+reinitialization protocol, sqrt(us)."""
-    return float(_etas(*astuple(p))[1])
-
-
-def eta_conventional(p: ProtocolParams) -> float:
-    """Sensitivity of the single-readout-per-cycle protocol, sqrt(us)."""
-    return float(_etas(*astuple(p))[2])
+def eta_paper(p: ProtocolParams, protocol_tag: str) -> float:
+    """The paper's sensitivity of one protocol, sqrt(us); see the module
+    docstring for its three forms and their gap to eta_exact."""
+    if protocol_tag not in PROTOCOLS:
+        raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
+    return float(_etas(*astuple(p))[PROTOCOLS.index(protocol_tag)])
 
 
 def readout_decay_sum(n: int, slot: float, t1: float) -> float:

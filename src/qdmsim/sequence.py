@@ -336,15 +336,17 @@ def _cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag):
     return kind, start, duration, voxel
 
 
-def build_lcqdm_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:
+# Full-cycle shorthands for build_cycle(tag, p); a partial cycle goes
+# through build_cycle(tag, p, n).  perfbench/ calls and patches them.
+def build_lcqdm_cycle(p: ProtocolParams) -> PulseSequence:
     """One light-sheet cycle: global init, MW block, recurrent readouts."""
-    return build_cycle(LCQDM, p, n_readouts)
+    return build_cycle(LCQDM, p)
 
 
-def build_leibold_cycle(p: ProtocolParams, n_readouts: Optional[int] = None) -> PulseSequence:
+def build_leibold_cycle(p: ProtocolParams) -> PulseSequence:
     """One recurrent readout+reinit cycle: MW block, then per voxel a readout
     window inside a laser dwell that continues for the reinitialization."""
-    return build_cycle(LEIBOLD, p, n_readouts)
+    return build_cycle(LEIBOLD, p)
 
 
 def build_conventional_cycle(p: ProtocolParams) -> PulseSequence:

@@ -17,21 +17,18 @@ import pytest
 from qdmsim import (CONVENTIONAL, LCQDM, LEIBOLD, PhotophysicsModel,
                     ProtocolParams, RECURRENT_SNR_PREFACTOR, SimConfig,
                     VoxelGrid, build_cycle, default_config,
-                    default_config_text, eta_conventional, eta_lcqdm,
-                    eta_leibold, evaluate_point, extract_init_time,
-                    extract_readout_time, end_to_end_pipeline,
-                    fit_log_quadratic, init_time, plan_acquisition,
-                    readout_time, rf_for_voxel, simulate_calibration,
-                    simulate_protocol, speedup_report, sweep,
-                    time_reduction_factor, trace_to_csv, voxel_for_rf)
+                    default_config_text, eta_paper, evaluate_point,
+                    extract_init_time, extract_readout_time,
+                    end_to_end_pipeline, fit_log_quadratic, init_time,
+                    plan_acquisition, readout_time, rf_for_voxel,
+                    simulate_calibration, simulate_protocol, speedup_report,
+                    sweep, time_reduction_factor, trace_to_csv, voxel_for_rf)
 from qdmsim.calibration import CalibrationTrace
 from qdmsim.cli import main as cli_main
 from qdmsim.photophysics import LogQuadraticCurve
 from qdmsim.scanplan import AOMAxis, AOMCalibration
 
 mp.mp.dps = 40
-
-ANALYTIC = {LCQDM: eta_lcqdm, LEIBOLD: eta_leibold, CONVENTIONAL: eta_conventional}
 
 
 @contextlib.contextmanager
@@ -74,13 +71,13 @@ def test_criterion_1_formula_fidelity():
         oracle_leib = float(mp_eta_leibold(100, 5000, 5, 20, td))
         oracle_conv = float(mp.sqrt(100 + 5 + 20 + td))
         p = make_params()
-        assert abs(eta_lcqdm(p) - oracle_lc) / oracle_lc <= 1e-9
-        assert abs(eta_leibold(p) - oracle_leib) / oracle_leib <= 1e-9
-        assert abs(eta_conventional(p) - oracle_conv) / oracle_conv <= 1e-9
+        assert abs(eta_paper(p, LCQDM) - oracle_lc) / oracle_lc <= 1e-9
+        assert abs(eta_paper(p, LEIBOLD) - oracle_leib) / oracle_leib <= 1e-9
+        assert abs(eta_paper(p, CONVENTIONAL) - oracle_conv) / oracle_conv <= 1e-9
         # the quoted 5-digit figures hold to their printed precision
-        assert eta_lcqdm(p) == pytest.approx(3.3414, abs=1.5e-4)
-        assert eta_leibold(p) == pytest.approx(7.3982, abs=1.5e-4)
-        assert eta_conventional(p) == pytest.approx(11.185, abs=1.5e-3)
+        assert eta_paper(p, LCQDM) == pytest.approx(3.3414, abs=1.5e-4)
+        assert eta_paper(p, LEIBOLD) == pytest.approx(7.3982, abs=1.5e-4)
+        assert eta_paper(p, CONVENTIONAL) == pytest.approx(11.185, abs=1.5e-3)
         assert abs(RECURRENT_SNR_PREFACTOR - 1.4621171573) <= 1e-10
 
 
@@ -93,9 +90,9 @@ def test_criterion_2_time_quadrature(rng):
                              t_ro=rng.uniform(2, 25), t_mw=rng.uniform(1, 1000),
                              t_d=rng.uniform(0, 0.5), t1=rng.uniform(500, 10000))
             pb = make_params(t_mw=rng.uniform(1, 1000), t_ro=rng.uniform(2, 25))
-            for ea, eb in ((eta_lcqdm(pa), eta_leibold(pb)),
-                           (eta_leibold(pa), eta_conventional(pb)),
-                           (eta_conventional(pa), eta_lcqdm(pb))):
+            for ea, eb in ((eta_paper(pa, LCQDM), eta_paper(pb, LEIBOLD)),
+                           (eta_paper(pa, LEIBOLD), eta_paper(pb, CONVENTIONAL)),
+                           (eta_paper(pa, CONVENTIONAL), eta_paper(pb, LCQDM))):
                 # measurement time at equal SNR scales as eta**2
                 assert time_reduction_factor(ea / eb) * eb ** 2 == pytest.approx(
                     ea ** 2, rel=1e-12)
@@ -115,7 +112,7 @@ def test_criterion_3_ordering_invariant(rng):
                 continue
             p = make_params(t_init_ls=t_init, t_init_conf=t_init, t_ro=t_ro,
                             t_mw=t_mw, t_d=t_d, t1=t1)
-            if eta_lcqdm(p) > eta_leibold(p) * (1 + 1e-12):
+            if eta_paper(p, LCQDM) > eta_paper(p, LEIBOLD) * (1 + 1e-12):
                 violations += 1
         assert violations == 0
         assert time.monotonic() - start < 1.0
@@ -171,7 +168,7 @@ def test_criterion_5_monte_carlo_oracle_agreement():
             out = simulate_protocol(cfg, protocol)
             if first_spot_outcome is None:
                 first_spot_outcome = out
-            analytic = ANALYTIC[protocol](p)
+            analytic = eta_paper(p, protocol)
             assert abs(out.eta_empirical - analytic) / analytic <= 0.15, (
                 protocol, i_conf, t_mw)
 

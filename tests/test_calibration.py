@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdmsim import (CalibrationTrace, DomainError, ExtractionError,
-                    LogQuadraticCurve, PhotophysicsModel, contrast,
+                    LogQuadraticCurve, PhotophysicsModel,
                     contrast_at_delay, extract_init_time,
                     extract_readout_time, extract_times, fit_log_quadratic,
                     init_time, read_trace_csv, simulate_calibration,
                     trace_to_csv)
-from qdmsim.calibration import TRACE_CSV_HEADER
+from qdmsim.calibration import E_CUBED_DECAY, TRACE_CSV_HEADER
 
 
 def exponential_trace(tau_p, t_max, n, c0=0.03, flux=15.0, intensity=1.0):
@@ -34,6 +34,11 @@ def brute_force_objective_argmax():
 X_STAR = brute_force_objective_argmax()
 
 
+def contrast(sig_pl, ref_pl):
+    """contrast_series of a one-sample trace."""
+    return CalibrationTrace(1.0, [0.0], [sig_pl], [ref_pl]).contrast_series()[0]
+
+
 class TestContrast:
     def test_definition(self):
         assert contrast(0.9, 1.0) == pytest.approx(0.1)
@@ -46,8 +51,8 @@ class TestContrast:
 
     @pytest.mark.parametrize("ref", [0.0, -1.0])
     def test_nonpositive_reference(self, ref):
-        with pytest.raises(DomainError):
-            contrast(1.0, ref)
+        with pytest.raises(DomainError, match="ref_pl must be positive everywhere"):
+            CalibrationTrace(1.0, [0.0, 1.0], [1.0, 1.0], [1.0, ref])
 
 
 class TestInitExtraction:
@@ -75,6 +80,23 @@ class TestInitExtraction:
         with pytest.raises(ExtractionError):
             extract_init_time(trace)
 
+    @pytest.mark.parametrize("shots", [20, 100_000, None])  # None: noiseless
+    def test_array_search_matches_scan(self, model, shots):
+        for intensity in np.geomspace(0.1, 5.0, 6):
+            t = np.linspace(0.0, 1.25 * init_time(model, intensity), 1000)
+            for seed in range(5):
+                trace = simulate_calibration(model, intensity, t, shots or 1, seed,
+                                             noiseless=shots is None)
+                assert (init_time_outcome(extract_init_time, trace)
+                        == init_time_outcome(scan_init_time, trace))
+
+    def test_array_search_matches_scan_without_crossing(self, model):
+        t = np.linspace(0.0, 0.5 * init_time(model, 1.0), 1000)
+        trace = simulate_calibration(model, 1.0, t, 1, 0, noiseless=True)
+        outcome = init_time_outcome(extract_init_time, trace)
+        assert outcome == init_time_outcome(scan_init_time, trace)
+        assert "trace too short" in outcome[1]
+
     def test_needs_three_samples(self):
         trace = CalibrationTrace(1.0, [0.0, 1.0], [0.9, 0.95], [1.0, 1.0])
         with pytest.raises(ExtractionError):
@@ -89,6 +111,29 @@ class TestInitExtraction:
             trace = CalibrationTrace(i, t, 15.0 * (1 - c), np.full(t.size, 15.0))
             step = t[1] - t[0]
             assert extract_init_time(trace) == pytest.approx(t_init, abs=step)
+
+
+def scan_init_time(trace):
+    """extract_init_time as a Python scan from the peak, the reference for its
+    array search."""
+    c = trace.contrast_series()
+    t = trace.t_sweep
+    peak_idx = int(np.argmax(c))
+    threshold = c[peak_idx] * E_CUBED_DECAY
+    for j in range(peak_idx + 1, len(trace)):
+        if c[j] <= threshold:
+            frac = (c[j - 1] - threshold) / (c[j - 1] - c[j])
+            return float(t[j - 1] + frac * (t[j] - t[j - 1]))
+    raise ExtractionError(
+        "contrast never decays to 1/e^3 of its peak; trace too short")
+
+
+def init_time_outcome(extract, trace):
+    """(float hex, None) or (None, error text), comparable bitwise."""
+    try:
+        return extract(trace).hex(), None
+    except ExtractionError as exc:
+        return None, str(exc)
 
 
 class TestReadoutExtraction:

@@ -183,6 +183,11 @@ class TestConfigParsing:
                                              "#t_d = 5 us\nt_d = 100 ns\t#x")
         assert parse_config(text) == default_config()
 
+    def test_default_model_is_package_default(self):
+        # the synthetic coefficients are written in photophysics.DEFAULT_*
+        # and again in default_config_text
+        assert default_config().model() == qdmsim.PhotophysicsModel()
+
     def test_derived_quantities(self):
         cfg = default_config()
         assert cfg.intensity_conf() == pytest.approx(2.0 / 0.2809, rel=1e-12)

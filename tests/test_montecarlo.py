@@ -9,16 +9,13 @@ import qdmsim.montecarlo
 
 from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
                     ProtocolParams, SimConfig, build_leibold_cycle,
-                    contrast_at_delay, contrast, end_to_end_pipeline,
-                    eta_conventional, eta_exact, eta_lcqdm, eta_leibold,
-                    extract_init_time, init_time, photon_flux, readout_time,
-                    simulate_calibration, simulate_protocol)
+                    contrast_at_delay, end_to_end_pipeline, eta_exact,
+                    eta_paper, extract_init_time, init_time, photon_flux,
+                    readout_time, simulate_calibration, simulate_protocol)
 from qdmsim.montecarlo import CALIBRATION_BIN_US, TRIAL_BLOCK
 from qdmsim.sensitivity import readout_decay_sum
 from qdmsim.sequence import (EVENT_KINDS, MW_BLOCK, READOUT_WINDOW,
                              cycle_layout)
-
-ANALYTIC = {LCQDM: eta_lcqdm, LEIBOLD: eta_leibold, CONVENTIONAL: eta_conventional}
 
 # The acceptance-criterion-5 spots: (protocol, I_conf mW/um^2, t_mw us).
 CRITERION_5_SPOTS = [
@@ -129,12 +126,13 @@ class TestNoiselessClosedForm:
         out = simulate_protocol(cfg, CONVENTIONAL, noiseless=True)
         # single readout at zero delay: no decay, no approximation gap
         assert out.eta_empirical == pytest.approx(
-            eta_conventional(cfg.params), rel=1e-12)
+            eta_paper(cfg.params, CONVENTIONAL), rel=1e-12)
 
     def test_leibold_systematic_gap_under_8pct(self, model):
         cfg = sim_config(model, 1.0, 1)
         out = simulate_protocol(cfg, LEIBOLD, noiseless=True)
-        gap = abs(out.eta_empirical - eta_leibold(cfg.params)) / eta_leibold(cfg.params)
+        paper = eta_paper(cfg.params, LEIBOLD)
+        gap = abs(out.eta_empirical - paper) / paper
         assert gap < 0.09
 
 
@@ -170,10 +168,11 @@ class TestExactOracle:
                            t_mw=0.0, t_d=0.0, t1=1000.0)
         gap = (1 + math.exp(-1)) / (2 * (1 - math.exp(-1)))
         assert gap == pytest.approx(1.0820, abs=5e-5)
-        for protocol, paper in ((LCQDM, eta_lcqdm), (LEIBOLD, eta_leibold)):
-            assert eta_exact(p, protocol) / paper(p) == pytest.approx(gap, rel=1e-5)
+        for protocol in (LCQDM, LEIBOLD):
+            assert eta_exact(p, protocol) / eta_paper(p, protocol) == pytest.approx(
+                gap, rel=1e-5)
         assert eta_exact(p, CONVENTIONAL) == pytest.approx(
-            eta_conventional(p), rel=1e-12)
+            eta_paper(p, CONVENTIONAL), rel=1e-12)
 
 
 def reference_estimates(cfg, n_trials, seed):
@@ -255,7 +254,7 @@ class TestAnalyticAgreement:
     def test_within_fifteen_percent(self, model, protocol, i_conf):
         cfg = sim_config(model, i_conf, 4000)
         out = simulate_protocol(cfg, protocol)
-        analytic = ANALYTIC[protocol](cfg.params)
+        analytic = eta_paper(cfg.params, protocol)
         assert abs(out.eta_empirical - analytic) / analytic <= 0.15
 
     def test_stderr_shrinks_with_trials(self, model):
@@ -283,7 +282,7 @@ class TestNullSignal:
         # (negative estimate) or far above the signal-present value
         assert abs(out.signal_mean) <= 5 * out.signal_stderr
         assert (not math.isfinite(out.eta_empirical)
-                or out.eta_empirical > 5 * eta_lcqdm(cfg.params))
+                or out.eta_empirical > 5 * eta_paper(cfg.params, LCQDM))
 
 
 def reference_calibration(model, intensity, grid, shots, seed, noiseless):
@@ -340,9 +339,8 @@ class TestSimulateCalibration:
     def test_noiseless_recovers_contrast_model(self, model):
         grid = np.linspace(0.0, 10.0, 101)
         trace = simulate_calibration(model, 1.0, grid, 1, seed=3, noiseless=True)
-        for t, sig, ref in zip(trace.t_sweep, trace.sig_pl, trace.ref_pl):
-            assert contrast(sig, ref) == pytest.approx(
-                contrast_at_delay(model, 1.0, t), rel=1e-12)
+        for t, c, ref in zip(trace.t_sweep, trace.contrast_series(), trace.ref_pl):
+            assert c == pytest.approx(contrast_at_delay(model, 1.0, t), rel=1e-12)
             assert ref == pytest.approx(photon_flux(model, 1.0), rel=1e-12)
 
     def test_roundtrip_through_extraction(self, model):
@@ -364,9 +362,8 @@ class TestSimulateCalibration:
     def test_noisy_trace_converges_to_model(self, model):
         grid = np.linspace(0.0, 6.0, 25)
         trace = simulate_calibration(model, 1.0, grid, 50000, seed=5)
-        for t, sig, ref in zip(trace.t_sweep, trace.sig_pl, trace.ref_pl):
-            assert contrast(sig, ref) == pytest.approx(
-                contrast_at_delay(model, 1.0, t), abs=0.004)
+        for t, c in zip(trace.t_sweep, trace.contrast_series()):
+            assert c == pytest.approx(contrast_at_delay(model, 1.0, t), abs=0.004)
 
     def test_bad_grid_rejected(self, model):
         with pytest.raises(DomainError):
@@ -375,6 +372,13 @@ class TestSimulateCalibration:
             simulate_calibration(model, 1.0, [], 1, seed=0)
         with pytest.raises(DomainError):
             simulate_calibration(model, 1.0, [0.0, 1.0], 0, seed=0)
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_nan_delay_rejected(self, model, noiseless):
+        # nan slips past the ordering checks, so the decay refuses it
+        with pytest.raises(DomainError, match="t_sweep must be >= 0, got nan"):
+            simulate_calibration(model, 1.0, [0.0, math.nan, 2.0], 64, seed=0,
+                                 noiseless=noiseless)
 
 
 class TestEndToEndPipeline:

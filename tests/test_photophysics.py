@@ -172,6 +172,20 @@ class TestFluxAndContrast:
         with pytest.raises(DomainError, match="t_sweep must be >= 0"):
             contrast_at_delay(model, 1.0, delays)
 
+    def test_nan_delay_rejected(self, model):
+        with pytest.raises(DomainError, match="t_sweep must be >= 0, got nan"):
+            contrast_at_delay(model, 1.0, math.nan)
+
+    def test_one_nan_element_rejected(self, model):
+        delays = np.linspace(0.0, 10.0, 50)
+        delays[17] = math.nan
+        with pytest.raises(DomainError, match="t_sweep must be >= 0, got nan"):
+            contrast_at_delay(model, 1.0, delays)
+
+    def test_infinite_delay_decays_to_zero(self, model):
+        assert contrast_at_delay(model, 1.0, math.inf) == 0.0
+        assert contrast_at_delay(model, 1.0, np.array([0.0, math.inf]))[1] == 0.0
+
 
 class TestModelValidation:
     @pytest.mark.parametrize("kw", [dict(i_sat=0.0), dict(i_sat=-1.0),

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdmsim import (DomainError, OutOfRangeError, ProtocolParams,
+from qdmsim import (CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
+                    OutOfRangeError, PROTOCOLS, ProtocolParams,
                     RECURRENT_SNR_PREFACTOR, SensitivityResult, SweepSpec,
-                    default_config_text, eta_conventional, eta_lcqdm,
-                    eta_leibold, evaluate_point, init_time, log_grid,
-                    parse_config, readout_time, sweep, time_reduction_factor)
+                    default_config_text, eta_paper, evaluate_point, init_time,
+                    log_grid, parse_config, readout_time, sweep,
+                    time_reduction_factor)
 from qdmsim.sensitivity import CSV_HEADER
 
 
@@ -29,49 +30,55 @@ class TestFormulas:
         assert abs(RECURRENT_SNR_PREFACTOR - 1.4621171573) <= 1e-10
 
     def test_lcqdm_reference_point(self):
-        assert eta_lcqdm(make_params()) == pytest.approx(ETA_LC_REFERENCE, rel=1e-12)
+        assert eta_paper(make_params(), LCQDM) == pytest.approx(
+            ETA_LC_REFERENCE, rel=1e-12)
         # independent re-derivation
         expected = 2 / (1 + math.exp(-1)) * math.sqrt((20 + 100 + 5000) * 5.1 / 5000)
-        assert eta_lcqdm(make_params()) == pytest.approx(expected, rel=1e-12)
+        assert eta_paper(make_params(), LCQDM) == pytest.approx(expected, rel=1e-12)
 
     def test_lcqdm_long_t1_asymptote(self):
         p = make_params(t_init_ls=20.0, t_mw=100.0, t1=1e12)
         asymptote = RECURRENT_SNR_PREFACTOR * math.sqrt(5.1)
-        assert eta_lcqdm(p) == pytest.approx(asymptote, rel=1e-9)
+        assert eta_paper(p, LCQDM) == pytest.approx(asymptote, rel=1e-9)
         assert asymptote == pytest.approx(3.30192543312623, rel=1e-12)
 
     def test_lcqdm_prefactor_collapse(self):
         # no overhead and a single slot exactly filling t1
         p = make_params(t_init_ls=0.0, t_mw=0.0, t_ro=40.0, t_d=0.0, t1=40.0)
-        assert eta_lcqdm(p) == pytest.approx(
+        assert eta_paper(p, LCQDM) == pytest.approx(
             RECURRENT_SNR_PREFACTOR * math.sqrt(40.0), rel=1e-12)
 
     def test_leibold_reference_point(self):
-        assert eta_leibold(make_params()) == pytest.approx(
+        assert eta_paper(make_params(), LEIBOLD) == pytest.approx(
             ETA_LEIBOLD_REFERENCE, rel=1e-12)
 
     def test_leibold_low_intensity_regime(self):
         p = make_params(t_ro=22.1, t_init_conf=1242.0)
-        assert eta_leibold(p) == pytest.approx(52.5037293182941, rel=1e-12)
+        assert eta_paper(p, LEIBOLD) == pytest.approx(52.5037293182941, rel=1e-12)
 
     def test_leibold_reduces_to_lcqdm(self):
         p = make_params(t_init_ls=0.0, t_init_conf=0.0)
-        assert eta_leibold(p) == pytest.approx(eta_lcqdm(p), rel=1e-12)
+        assert eta_paper(p, LEIBOLD) == pytest.approx(eta_paper(p, LCQDM), rel=1e-12)
 
     def test_conventional_reference_point(self):
-        assert eta_conventional(make_params()) == pytest.approx(
+        assert eta_paper(make_params(), CONVENTIONAL) == pytest.approx(
             ETA_CONV_REFERENCE, rel=1e-12)
-        assert eta_conventional(make_params()) == pytest.approx(
+        assert eta_paper(make_params(), CONVENTIONAL) == pytest.approx(
             math.sqrt(125.1), rel=1e-12)
 
     def test_conventional_degenerate(self):
         p = ProtocolParams(t_init_ls=0.0, t_init_conf=0.0, t_ro_conf=1e-12,
                            t_mw=1.0, t_d=0.0, t1=1.0)
-        assert eta_conventional(p) == pytest.approx(1.0, rel=1e-9)
+        assert eta_paper(p, CONVENTIONAL) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("tag", ["Bogus", "Calibration", "lcqdm"])
+    def test_unknown_tag_rejected(self, tag):
+        with pytest.raises(DomainError, match=f"unknown protocol {tag!r}"):
+            eta_paper(make_params(), tag)
 
     def test_conventional_long_mw(self):
         p = make_params(t_ro=5.0, t_init_conf=5.0, t_mw=1000.0)
-        assert eta_conventional(p) == pytest.approx(31.7820704171393, rel=1e-12)
+        assert eta_paper(p, CONVENTIONAL) == pytest.approx(31.7820704171393, rel=1e-12)
 
 
 class TestTimeReduction:
@@ -91,7 +98,7 @@ class TestTimeReduction:
                              t_mw=rng.uniform(1, 1000),
                              t_d=0.1, t1=rng.uniform(1000, 10000))
             pb = make_params(t_mw=rng.uniform(1, 1000))
-            ea, eb = eta_lcqdm(pa), eta_conventional(pb)
+            ea, eb = eta_paper(pa, LCQDM), eta_paper(pb, CONVENTIONAL)
             t_a, t_b = ea * ea, eb * eb
             assert time_reduction_factor(ea / eb) * t_b == pytest.approx(
                 t_a, rel=1e-12)
@@ -106,15 +113,14 @@ class TestFormulaProperties:
         ps = make_params(k * p.t_init_ls, k * p.t_init_conf, k * p.t_ro_conf,
                          k * p.t_mw, k * p.t_d, k * p.t1)
         root_k = math.sqrt(k)
-        assert eta_lcqdm(ps) == pytest.approx(root_k * eta_lcqdm(p), rel=1e-9)
-        assert eta_leibold(ps) == pytest.approx(root_k * eta_leibold(p), rel=1e-9)
-        assert eta_conventional(ps) == pytest.approx(
-            root_k * eta_conventional(p), rel=1e-9)
+        for tag in PROTOCOLS:
+            assert eta_paper(ps, tag) == pytest.approx(
+                root_k * eta_paper(p, tag), rel=1e-9)
 
     def test_strictly_increasing_in_t_mw(self):
         grid = [1.0, 3.0, 10.0, 50.0, 300.0, 1000.0]
-        for eta in (eta_lcqdm, eta_leibold, eta_conventional):
-            vals = [eta(make_params(t_mw=t)) for t in grid]
+        for tag in PROTOCOLS:
+            vals = [eta_paper(make_params(t_mw=t), tag) for t in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_ordering_theorem(self, rng):
@@ -126,7 +132,7 @@ class TestFormulaProperties:
                             t_ro=rng.uniform(1, 30), t_mw=rng.uniform(1, 1000),
                             t_d=rng.uniform(0, 0.5), t1=rng.uniform(100, 10000))
             if p.t_ro_conf + p.t_d <= p.t_mw + p.t1:
-                assert eta_lcqdm(p) <= eta_leibold(p) * (1 + 1e-12)
+                assert eta_paper(p, LCQDM) <= eta_paper(p, LEIBOLD) * (1 + 1e-12)
 
 
 class TestSweep:
@@ -137,9 +143,9 @@ class TestSweep:
         p = make_params(t_init_ls=init_time(model, 0.2),
                         t_init_conf=init_time(model, 1.0),
                         t_ro=readout_time(model, 1.0))
-        assert grid.eta_lcqdm[0, 0] == eta_lcqdm(p)
-        assert grid.eta_leibold[0, 0] == eta_leibold(p)
-        assert grid.eta_conventional[0, 0] == eta_conventional(p)
+        cells = (grid.eta_lcqdm, grid.eta_leibold, grid.eta_conventional)
+        for tag, cell in zip(PROTOCOLS, cells, strict=True):
+            assert cell[0, 0] == eta_paper(p, tag)
 
     def test_reference_cell_ratio(self, model):
         cell = evaluate_point(model, 1.0, 1000.0, 0.2, 5000.0, 0.1)

@@ -310,12 +310,12 @@ class TestLcqdmBuilder:
         assert window_ends(seq).size == 980
 
     def test_partial_cycle(self):
-        seq = build_lcqdm_cycle(make_params(), n_readouts=7)
+        seq = build_cycle(LCQDM, make_params(), 7)
         assert window_ends(seq).size == 7
         with pytest.raises(DomainError):
-            build_lcqdm_cycle(make_params(), n_readouts=0)
+            build_cycle(LCQDM, make_params(), 0)
         with pytest.raises(DomainError):
-            build_lcqdm_cycle(make_params(), n_readouts=981)
+            build_cycle(LCQDM, make_params(), 981)
 
 
 class TestLeiboldBuilder:
@@ -405,9 +405,9 @@ class TestInputHygiene:
     @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
     def test_non_integer_readout_count_rejected(self, n):
         with pytest.raises(DomainError, match="integer"):
-            build_lcqdm_cycle(make_params(), n_readouts=n)
+            build_cycle(LCQDM, make_params(), n)
         with pytest.raises(DomainError, match="integer"):
-            build_leibold_cycle(make_params(), n_readouts=n)
+            build_cycle(LEIBOLD, make_params(), n)
 
     def test_unknown_protocol_tag_rejected(self):
         with pytest.raises(DomainError, match="unknown protocol tag 'Bogus'"):
@@ -415,7 +415,7 @@ class TestInputHygiene:
 
     def test_numpy_integer_readout_count_accepted(self):
         p = make_params()
-        assert build_lcqdm_cycle(p, np.int64(7)) == build_lcqdm_cycle(p, 7)
+        assert build_cycle(LCQDM, p, np.int64(7)) == build_cycle(LCQDM, p, 7)
 
     def test_columns_are_read_only(self):
         seq = build_lcqdm_cycle(make_params())
@@ -550,12 +550,12 @@ class TestMaterializationBound:
     def test_bound_counts_events(self, monkeypatch):
         monkeypatch.setattr(sequence, "MAX_EVENTS", 10)
         p = make_params()
-        assert build_lcqdm_cycle(p, 4).kind.size == 10
+        assert build_cycle(LCQDM, p, 4).kind.size == 10
         with pytest.raises(DomainError, match="12 events"):
-            build_lcqdm_cycle(p, 5)
-        assert build_leibold_cycle(p, 3).kind.size == 10
+            build_cycle(LCQDM, p, 5)
+        assert build_cycle(LEIBOLD, p, 3).kind.size == 10
         with pytest.raises(DomainError, match="13 events"):
-            build_leibold_cycle(p, 4)
+            build_cycle(LEIBOLD, p, 4)
 
 
 class TestValidation:
@@ -598,7 +598,7 @@ class TestValidation:
 
     def test_one_misplaced_leibold_window_is_one_violation(self):
         p = make_params()
-        seq = build_leibold_cycle(p, 6)
+        seq = build_cycle(LEIBOLD, p, 6)
         moved = int(np.flatnonzero((seq.kind == WINDOW_CODE) & (seq.voxel == 3))[0])
         duration = seq.duration.copy()
         # same start, so the event order holds; the end overruns the dwell
@@ -844,7 +844,7 @@ class TestSerialization:
 
     def test_equality_is_column_wise(self):
         p = make_params()
-        assert build_lcqdm_cycle(p, 5) != build_lcqdm_cycle(p, 6)
+        assert build_cycle(LCQDM, p, 5) != build_cycle(LCQDM, p, 6)
         assert build_lcqdm_cycle(p) != build_lcqdm_cycle(make_params(t_d=0.2))
         assert (build_calibration_sequence(p, 1.5)
                 != build_calibration_sequence(p, 1.25))
