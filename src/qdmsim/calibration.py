@@ -168,10 +168,10 @@ def fit_log_quadratic(points: list[tuple[float, float]]) -> LogQuadraticCurve:
     """Least-squares quadratic of log10(duration) against log10(intensity).
 
     Needs at least three points with distinct intensities; all intensities
-    and durations must be positive.
+    and durations must be finite and positive.
     """
-    if any(i <= 0 or d <= 0 for i, d in points):
-        raise DomainError("intensities and durations must all be positive")
+    if not all(0 < i < math.inf and 0 < d < math.inf for i, d in points):
+        raise DomainError("intensities and durations must all be finite and positive")
     if len({i for i, _ in points}) < 3:
         raise DomainError(
             "need at least 3 distinct intensities for a quadratic fit")

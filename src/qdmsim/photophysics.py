@@ -40,8 +40,9 @@ DEFAULT_C0 = 0.03        # peak spin contrast
 
 def lightsheet_intensity(p_ls: float, l_y: float, d_ls: float) -> float:
     """Sheet intensity in mW/um^2 from power (mW), lateral size and thickness (um)."""
-    if l_y <= 0 or d_ls <= 0:
-        raise DomainError(f"sheet dimensions must be positive, got l_y={l_y}, d_ls={d_ls}")
+    if not (0 < l_y < math.inf and 0 < d_ls < math.inf):
+        raise DomainError(f"sheet dimensions must be finite and positive, "
+                          f"got l_y={l_y}, d_ls={d_ls}")
     if p_ls < 0 or not math.isfinite(p_ls):
         raise DomainError(f"sheet power must be finite and >= 0, got {p_ls}")
     return p_ls / (l_y * d_ls)
@@ -52,8 +53,8 @@ def confocal_intensity(p_conf: float, delta_conf: float) -> float:
 
     The divisor is the literal square of the focal diameter, delta**2.
     """
-    if delta_conf <= 0:
-        raise DomainError(f"beam diameter must be positive, got {delta_conf}")
+    if not 0 < delta_conf < math.inf:
+        raise DomainError(f"beam diameter must be finite and positive, got {delta_conf}")
     if p_conf < 0 or not math.isfinite(p_conf):
         raise DomainError(f"readout power must be finite and >= 0, got {p_conf}")
     return p_conf / (delta_conf * delta_conf)

@@ -5,12 +5,13 @@ normalized to 1 at the start of spin relaxation; smaller is better.  With
 the recurrent protocols the initialization and MW overhead amortizes over
 every readout that fits in t1, and the SNR averaged between the first and
 last readout contributes the prefactor 2 / (1 + 1/e).  eta_paper(p, tag)
-gives the paper's form (Barry et al.'s sensitivity convention) of each
-protocol:
+gives the paper's form (Barry et al.'s sensitivity convention) of each protocol,
+the recurrent ones as 2/(1+1/e) * sqrt((overhead + t1) * slot / t1): the
+continuum limit (readouts filling t1) of their cycle in sequence._CYCLES:
 
     LCQDM        2/(1+1/e) * sqrt((t_init_ls + t_mw + t1) * (t_ro + t_d) / t1)
     Leibold      2/(1+1/e) * sqrt((t_mw + t1) * (t_ro + t_init_conf + t_d) / t1)
-    Conventional sqrt(t_mw + t_ro + t_init_conf + t_d)
+    Conventional sqrt(t_mw + t_ro + t_init_conf + t_d), in the paper's order
 
 eta_exact(p, tag) is the same accounting without the endpoint average: a
 cycle of W readouts spanning T gives sqrt(T / W) / mean_k exp(-k * slot / t1),
@@ -35,14 +36,15 @@ a cell-by-cell loop.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._csv import csv_text
 from .errors import DomainError, OutOfRangeError
 from .photophysics import PhotophysicsModel, init_time, readout_time
-from .sequence import PROTOCOLS, ProtocolParams, cycle_layout
+from .sequence import PROTOCOLS, ProtocolParams, _cycle, cycle_layout
 
 #: Average of the first and last recurrent-readout SNR, 2 / (1 + e^-1).
 RECURRENT_SNR_PREFACTOR = 2.0 / (1.0 + math.exp(-1.0))
@@ -54,22 +56,20 @@ CSV_HEADER = ("i_conf_mw_per_um2,t_mw_us,eta_lc,eta_leibold,eta_conv,"
               "ratio_leibold_lc,ratio_conv_lc,valid")
 
 
-def _etas(t_init_ls, t_init_conf, t_ro_conf, t_mw, t_d, t1):
-    """The paper's three etas, in PROTOCOLS order (LCQDM, Leibold,
-    Conventional), from ProtocolParams fields in order; broadcasts."""
-    lc = RECURRENT_SNR_PREFACTOR * np.sqrt(
-        (t_init_ls + t_mw + t1) * (t_ro_conf + t_d) / t1)
-    leibold = RECURRENT_SNR_PREFACTOR * np.sqrt(
-        (t_mw + t1) * (t_ro_conf + t_init_conf + t_d) / t1)
-    return lc, leibold, np.sqrt(t_mw + t_ro_conf + t_init_conf + t_d)
+def _paper_form(protocol_tag: str, p):
+    """eta_paper over p's fields read by name; fields that are arrays broadcast."""
+    recurrent, overhead, slot, _, _ = _cycle(protocol_tag, p)
+    if recurrent:
+        return RECURRENT_SNR_PREFACTOR * np.sqrt((overhead + p.t1) * slot / p.t1)
+    # Not overhead + slot: that order differs in the last bit in 727 of the
+    # 3721 default sweep cells, whose bytes tests/test_golden_outputs.py pins.
+    return np.sqrt(p.t_mw + p.t_ro_conf + p.t_init_conf + p.t_d)
 
 
 def eta_paper(p: ProtocolParams, protocol_tag: str) -> float:
     """The paper's sensitivity of one protocol, sqrt(us); see the module
     docstring for its three forms and their gap to eta_exact."""
-    if protocol_tag not in PROTOCOLS:
-        raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
-    return float(_etas(*astuple(p))[PROTOCOLS.index(protocol_tag)])
+    return float(_paper_form(protocol_tag, p))
 
 
 def readout_decay_sum(n: int, slot: float, t1: float) -> float:
@@ -123,7 +123,7 @@ def evaluate_point(model: PhotophysicsModel, i_conf: float, t_mw: float,
         t_init_conf=init_time(model, i_conf),
         t_ro_conf=readout_time(model, i_conf),
         t_mw=t_mw, t_d=t_d, t1=t1)
-    lc, leibold, conv = map(float, _etas(*astuple(p)))
+    lc, leibold, conv = (eta_paper(p, tag) for tag in PROTOCOLS)
     return SensitivityResult(lc, leibold, conv, leibold / lc, conv / lc)
 
 
@@ -228,9 +228,9 @@ class SensitivityGrid:
 def sweep(spec: SweepSpec) -> SensitivityGrid:
     """Evaluate the sensitivity comparison over the full grid.
 
-    The laser timescales are evaluated once per intensity; the formulas
-    then broadcast over the (t_mw, I_conf) mesh.  An out-of-range intensity
-    marks its column invalid and the sweep continues.
+    The laser timescales are evaluated once per intensity; the paper's
+    forms then broadcast over the (t_mw, I_conf) mesh.  An out-of-range
+    intensity marks its column invalid and the sweep continues.
     """
     t_init, t_ro = np.full((2, len(spec.i_conf_grid)), np.nan)
     col_errors = []
@@ -241,8 +241,9 @@ def sweep(spec: SweepSpec) -> SensitivityGrid:
         except OutOfRangeError as exc:
             col_errors.append((c, str(exc)))
     t_mw = np.asarray(spec.t_mw_grid, dtype=float)[:, None]
-    lc, leibold, conv = _etas(init_time(spec.model, spec.i_ls), t_init, t_ro,
-                              t_mw, spec.t_d, spec.t1)
+    mesh = SimpleNamespace(t_init_ls=init_time(spec.model, spec.i_ls), t_init_conf=t_init,
+                           t_ro_conf=t_ro, t_mw=t_mw, t_d=spec.t_d, t1=spec.t1)
+    lc, leibold, conv = (_paper_form(tag, mesh) for tag in PROTOCOLS)
     errors = tuple((r, c, msg) for r in range(len(spec.t_mw_grid))
                    for c, msg in col_errors)
     return SensitivityGrid(spec, lc, leibold, conv, leibold / lc, conv / lc, errors)

@@ -14,8 +14,9 @@ sequence:
 Each protocol's cycle is declared once (`_CYCLES`): whether its readouts
 recur within t1, the prelude before the first readout, and the events of
 one readout slot.  `cycle_layout` (whose first number is the count of
-readouts that fit in t1) and `build_cycle` (behind the three named
-builders) both derive from that declaration.
+readouts that fit in t1), `build_cycle` (behind the three named builders)
+and sensitivity's paper forms (the recurrent ones are the cycle's
+continuum limit) all derive from that declaration through `_cycle`.
 
 A sequence is stored as four numpy columns in event order: `kind` (int8
 code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
@@ -264,17 +265,22 @@ _CYCLES = {
 }
 
 
-def _layout(protocol_tag: str, p: ProtocolParams):
-    """cycle_layout's numbers, prelude rows and slot events, read once."""
+def _cycle(protocol_tag: str, p):
+    """(recurs, overhead, slot, prelude rows, slot events); array fields broadcast."""
     if protocol_tag not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol_tag!r}; expected one of {PROTOCOLS}")
     recurrent, prelude, slot_events = _CYCLES[protocol_tag](p)
     rows, overhead = [], 0.0
     for code, length in prelude:
         rows.append((code, overhead, length))
-        overhead += length
+        overhead = overhead + length  # not +=, which cannot grow an array
     _, offset, length, _ = slot_events[-1]
-    slot = offset + length
+    return recurrent, overhead, offset + length, rows, slot_events
+
+
+def _layout(protocol_tag: str, p: ProtocolParams):
+    """cycle_layout's numbers (the count needs a scalar p), rows and slot events."""
+    recurrent, overhead, slot, rows, slot_events = _cycle(protocol_tag, p)
     count = _slots_within(p.t1, slot) if recurrent else 1
     return count, overhead, slot, rows, slot_events
 

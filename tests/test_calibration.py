@@ -236,6 +236,18 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_log_quadratic([(0.1, 0.0), (0.5, 2.0), (1.0, 1.0)])
 
+    # Refused before the least-squares solve, which would otherwise fail
+    # with LinAlgError and print LAPACK complaints to stderr.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 3])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_rejected(self, bad, row, column, capfd):
+        points = [[0.1, 5.0], [0.5, 3.0], [1.0, 2.0], [2.0, 1.5]]
+        points[row][column] = bad
+        with pytest.raises(DomainError, match="must all be finite and positive"):
+            fit_log_quadratic([tuple(point) for point in points])
+        assert capfd.readouterr().err == ""
+
     def test_residual_reported_through_curve(self, rng):
         gen = LogQuadraticCurve(0.7, -0.9, 0.1)
         intensities = 10.0 ** rng.uniform(-2, 1, size=12)

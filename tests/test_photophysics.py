@@ -45,6 +45,30 @@ class TestIntensities:
         with pytest.raises(DomainError):
             confocal_intensity(-1.0, 0.53)
 
+    # Non-finite input is refused before any arithmetic: no nan or 0.0 result.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position,message", [
+        (0, "sheet power must be finite and >= 0"),
+        (1, "sheet dimensions must be finite and positive"),
+        (2, "sheet dimensions must be finite and positive")])
+    def test_lightsheet_non_finite_rejected(self, position, message, bad, capfd):
+        args = [2000.0, 100.0, 10.0]
+        args[position] = bad
+        with pytest.raises(DomainError, match=message):
+            lightsheet_intensity(*args)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position,message", [
+        (0, "readout power must be finite and >= 0"),
+        (1, "beam diameter must be finite and positive")])
+    def test_confocal_non_finite_rejected(self, position, message, bad, capfd):
+        args = [2.0, 0.53]
+        args[position] = bad
+        with pytest.raises(DomainError, match=message):
+            confocal_intensity(*args)
+        assert capfd.readouterr().err == ""
+
 
 class TestTimescales:
     def test_init_time_default_at_unity(self, model):

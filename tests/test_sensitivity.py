@@ -81,6 +81,56 @@ class TestFormulas:
         assert eta_paper(p, CONVENTIONAL) == pytest.approx(31.7820704171393, rel=1e-12)
 
 
+def reference_paper_etas(t_init_ls, t_init_conf, t_ro_conf, t_mw, t_d, t1):
+    """The paper's three forms written out, in PROTOCOLS order; broadcasts."""
+    lc = RECURRENT_SNR_PREFACTOR * np.sqrt(
+        (t_init_ls + t_mw + t1) * (t_ro_conf + t_d) / t1)
+    leibold = RECURRENT_SNR_PREFACTOR * np.sqrt(
+        (t_mw + t1) * (t_ro_conf + t_init_conf + t_d) / t1)
+    return lc, leibold, np.sqrt(t_mw + t_ro_conf + t_init_conf + t_d)
+
+
+class TestPaperFormsFromCycles:
+    """eta_paper reads the recurrent forms from the declared cycles; they
+    must equal the written-out formulas bit for bit."""
+
+    def test_random_params_bitwise(self):
+        rng = np.random.default_rng(16)
+        n = 10_000
+        fields = {name: 10.0 ** rng.uniform(-3, 4, n) for name in (
+            "t_init_ls", "t_init_conf", "t_ro_conf", "t_mw", "t_d")}
+        fields["t1"] = 10.0 ** rng.uniform(-4, 6, n)
+        for name in ("t_init_ls", "t_init_conf", "t_mw", "t_d"):
+            fields[name][rng.random(n) < 0.1] = 0.0
+        rows = [dict(zip(fields, values))
+                for values in zip(*(a.tolist() for a in fields.values()))]
+        mismatches = []
+        for row in rows:
+            p = ProtocolParams(**row)
+            reference = reference_paper_etas(**row)
+            mismatches += [(row, tag) for tag, ref in zip(PROTOCOLS, reference)
+                           if eta_paper(p, tag) != ref]
+        assert mismatches == []
+        for name in ("t_init_ls", "t_mw", "t_d"):
+            assert (fields[name] == 0.0).sum() > 500
+
+    @pytest.mark.parametrize("p_conf_max", ["2 mW", "3.5 mW"])
+    def test_sweep_bitwise(self, p_conf_max):
+        spec = _sweep_spec(p_conf_max)
+        grid = sweep(spec)
+        t_init, t_ro = np.full((2, len(spec.i_conf_grid)), np.nan)
+        for c, i_conf in enumerate(spec.i_conf_grid):
+            if spec.model.valid_min <= i_conf <= spec.model.valid_max:
+                t_init[c] = init_time(spec.model, i_conf)
+                t_ro[c] = readout_time(spec.model, i_conf)
+        reference = reference_paper_etas(
+            init_time(spec.model, spec.i_ls), t_init, t_ro,
+            np.array(spec.t_mw_grid)[:, None], spec.t_d, spec.t1)
+        for got, ref in zip((grid.eta_lcqdm, grid.eta_leibold,
+                             grid.eta_conventional), reference, strict=True):
+            np.testing.assert_array_equal(got, ref, strict=True)
+
+
 class TestTimeReduction:
     def test_five_squares_to_twentyfive(self):
         assert time_reduction_factor(5.0) == 25.0
