@@ -74,9 +74,9 @@ class LogQuadraticCurve:
                 raise DomainError(f"curve coefficient {name} must be finite")
 
     def duration(self, intensity: float) -> float:
-        """Evaluate the curve at intensity > 0 (mW/um^2); returns us."""
-        if intensity <= 0:
-            raise DomainError(f"intensity must be positive, got {intensity}")
+        """Evaluate the curve at a finite intensity > 0 (mW/um^2); returns us."""
+        if not 0 < intensity < math.inf:
+            raise DomainError(f"intensity must be positive and finite, got {intensity}")
         log_i = math.log10(intensity)
         try:
             t = 10.0 ** (self.a + self.b * log_i + self.c * log_i * log_i)

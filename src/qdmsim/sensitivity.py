@@ -160,7 +160,7 @@ def _require_increasing(name: str, grid: tuple[float, ...]) -> None:
 
 def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     """n log-spaced points from lo to hi inclusive."""
-    if not (0 < lo < hi) or n < 1:
+    if not (0 < lo < hi < math.inf) or n < 1:
         raise DomainError(f"bad grid request lo={lo}, hi={hi}, n={n}")
     if n == 1:
         return (lo,)

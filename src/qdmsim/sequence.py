@@ -18,13 +18,20 @@ readouts that fit in t1), `build_cycle` (behind the three named builders)
 and sensitivity's paper forms (the recurrent ones are the cycle's
 continuum limit) all derive from that declaration through `_cycle`.
 
+A timeline is made in one of two ways: by a builder (`build_cycle`, its
+three full-cycle shorthands, `build_calibration_sequence`), or from columns
+through the checked constructor `PulseSequence(kind, start, duration, voxel,
+tag)`.  It has two jobs: it is the brute-force oracle for the closed forms
+(`cycle_layout`, sensitivity's `readout_decay_sum` and `eta_exact` must equal
+sums over its columns), and it is the demo's printable timeline (`to_text`).
+`validate_sequence` checks a timeline, including one from outside the package.
+
 A sequence is stored as four numpy columns in event order: `kind` (int8
 code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
 (int64, -1 for none).  `build_cycle` fills them with strided assignments,
 the validator and the reductions (span, duty cycle) work on them directly,
-and `SequenceEvent` rows are made only on demand (`events`, `windows()`,
-`PulseSequence.from_events` for hand-built timelines).  `PulseSequence(...)`
-and `from_events` check every column; a builder-made timeline skips the
+and `windows()` returns the readout windows as `SequenceEvent` rows.  The
+constructor checks every column; a builder-made timeline skips the
 re-check of what holds by construction (dtypes, kind codes, voxels, per-event
 times) and keeps only the check that an overhead or slot did not overflow
 to inf, made in closed form.  A sequence holds at
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -94,17 +101,12 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class SequenceEvent:
-    """One row of a PulseSequence, made on demand; checked when a sequence
-    is built from rows (PulseSequence.from_events)."""
+    """One row of a PulseSequence, as `windows()` returns it; unchecked."""
 
     kind: str
     start: float
     duration: float
     voxel_index: Optional[int] = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,25 +159,6 @@ class PulseSequence:
         _freeze(seq, (kind, start, duration, voxel))
         return seq
 
-    @classmethod
-    def from_events(cls, events: Iterable[SequenceEvent],
-                    protocol_tag: str) -> PulseSequence:
-        """Sequence from rows, e.g. a hand-built or edited timeline."""
-        events = tuple(events)
-        codes = []
-        for e in events:
-            if e.kind not in EVENT_KINDS:
-                raise DomainError(f"unknown event kind {e.kind!r}")
-            if e.voxel_index is not None and e.voxel_index < 0:
-                raise DomainError(f"voxel_index must be >= 0, got {e.voxel_index}")
-            codes.append(EVENT_KINDS.index(e.kind))
-        return cls(np.array(codes, np.int8),
-                   np.array([e.start for e in events], np.float64),
-                   np.array([e.duration for e in events], np.float64),
-                   np.array([-1 if e.voxel_index is None else e.voxel_index
-                             for e in events], np.int64),
-                   protocol_tag)
-
     def __eq__(self, other):
         if not isinstance(other, PulseSequence):
             return NotImplemented
@@ -188,18 +171,13 @@ class PulseSequence:
     def __repr__(self) -> str:
         return f"PulseSequence({self.protocol_tag!r}, {self.kind.size} events)"
 
-    @property
-    def events(self) -> tuple[SequenceEvent, ...]:
-        return self._rows(slice(None))
-
     def windows(self) -> tuple[SequenceEvent, ...]:
-        return self._rows(self.kind == _WINDOW)
-
-    def _rows(self, sel) -> tuple[SequenceEvent, ...]:
+        """The readout windows as rows, in event order."""
+        sel = self.kind == _WINDOW
         return tuple(
-            SequenceEvent(EVENT_KINDS[k], s, d, None if v < 0 else v)
-            for k, s, d, v in zip(self.kind[sel].tolist(), self.start[sel].tolist(),
-                                  self.duration[sel].tolist(), self.voxel[sel].tolist()))
+            SequenceEvent(READOUT_WINDOW, s, d, None if v < 0 else v)
+            for s, d, v in zip(self.start[sel].tolist(), self.duration[sel].tolist(),
+                               self.voxel[sel].tolist()))
 
     def span(self) -> float:
         """Total extent in us, from the earliest start to the latest end."""

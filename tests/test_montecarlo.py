@@ -8,7 +8,7 @@ from scipy import stats
 import qdmsim.montecarlo
 
 from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
-                    ProtocolParams, SimConfig, build_leibold_cycle,
+                    ProtocolParams, SimConfig, build_cycle, build_leibold_cycle,
                     contrast_at_delay, end_to_end_pipeline, eta_exact,
                     eta_paper, extract_init_time, init_time, photon_flux,
                     readout_time, simulate_calibration, simulate_protocol)
@@ -149,6 +149,16 @@ class TestExactOracle:
         s = np.exp(-(np.arange(n) * slot) / p.t1)
         direct = math.sqrt((overhead + n * slot) / n) / np.mean(s)
         assert eta_exact(p, protocol) == pytest.approx(direct, rel=1e-12)
+        # the built timeline as the oracle: delays of its windows after the
+        # MW block, and its span
+        seq = build_cycle(protocol, p)
+        end = seq.start + seq.duration
+        mw_end = end[seq.kind == EVENT_KINDS.index(MW_BLOCK)].max()
+        delay = seq.start[seq.kind == EVENT_KINDS.index(READOUT_WINDOW)] - mw_end
+        s_k = np.exp(-delay / p.t1)
+        assert eta_exact(p, protocol) == pytest.approx(
+            math.sqrt(seq.span() / s_k.size) / np.mean(s_k), rel=1e-12)
+        assert readout_decay_sum(n, slot, p.t1) == pytest.approx(s_k.sum(), rel=1e-12)
         out = simulate_protocol(sim_config(model, i_conf, 1, t_mw=t_mw),
                                 protocol, noiseless=True)
         assert out.eta_empirical == pytest.approx(eta_exact(p, protocol),

@@ -237,7 +237,7 @@ class TestModelValidation:
         model = PhotophysicsModel(i_sat=0.0005, **slow_readout)
         assert model.i_sat < model.valid_min
 
-    @pytest.mark.parametrize("intensity", [0.0, -1.0])
+    @pytest.mark.parametrize("intensity", [0.0, -1.0, math.nan, math.inf])
     def test_curve_at_nonpositive_intensity(self, intensity):
         with pytest.raises(DomainError, match="intensity must be positive"):
             LogQuadraticCurve(0.7, -0.9, 0.1).duration(intensity)

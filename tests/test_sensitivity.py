@@ -359,9 +359,11 @@ class TestLogGrid:
     def test_single_point(self):
         assert log_grid(0.5, 2.0, 1) == (0.5,)
 
-    def test_rejects_bad_bounds(self):
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.5), (1e-3, math.inf),
+                                        (math.nan, 1.0)])
+    def test_rejects_bad_bounds(self, lo, hi):
         with pytest.raises(DomainError):
-            log_grid(1.0, 0.5, 4)
+            log_grid(lo, hi, 4)
 
 
 def test_result_requires_positive_etas():

@@ -19,6 +19,8 @@ from qdmsim.sequence import (CONFOCAL_LASER_PULSE, DEAD_TIME, EVENT_KINDS,
                              LIGHT_SHEET_PULSE, MW_BLOCK, READOUT_WINDOW,
                              cycle_layout)
 
+LS_CODE = EVENT_KINDS.index(LIGHT_SHEET_PULSE)
+MW_CODE = EVENT_KINDS.index(MW_BLOCK)
 WINDOW_CODE = EVENT_KINDS.index(READOUT_WINDOW)
 LASER_CODE = EVENT_KINDS.index(CONFOCAL_LASER_PULSE)
 
@@ -54,6 +56,24 @@ clamped_param_strategy = st.builds(
 
 def window_ends(seq):
     return (seq.start + seq.duration)[seq.kind == WINDOW_CODE]
+
+
+def columns_sequence(rows, tag):
+    """Sequence from (kind code, start, duration, voxel) rows, voxel -1 kept."""
+    kind, start, duration, voxel = zip(*rows) if rows else ((), (), (), ())
+    return PulseSequence(np.array(kind, np.int8), np.array(start, float),
+                         np.array(duration, float), np.array(voxel, np.int64), tag)
+
+
+def event_rows(seq):
+    """Every event of a sequence as a plain row, read from its columns."""
+    return tuple(SequenceEvent(EVENT_KINDS[k], s, d, None if v < 0 else v)
+                 for k, s, d, v in zip(seq.kind.tolist(), seq.start.tolist(),
+                                       seq.duration.tolist(), seq.voxel.tolist()))
+
+
+def end(e):
+    return e.start + e.duration
 
 
 # -- sequential per-event references ------------------------------------------
@@ -110,7 +130,7 @@ def reference_text(rows):
 def reference_span(rows):
     if not rows:
         return 0.0
-    return max(e.end for e in rows) - min(e.start for e in rows)
+    return max(end(e) for e in rows) - min(e.start for e in rows)
 
 
 def reference_duty(rows):
@@ -123,7 +143,7 @@ def reference_duty(rows):
 def reference_validate(seq, p):
     """The per-event validator the array code must reproduce exactly."""
     rtol = 1e-9
-    events = seq.events
+    events = event_rows(seq)
     violations, warnings = [], []
 
     tol = rtol * max(1.0, reference_span(events))
@@ -143,17 +163,17 @@ def reference_validate(seq, p):
         matching = pulses_by_voxel.get(e.voxel_index)
         if not matching:
             continue
-        if not any(q.start - tol <= e.start and e.end <= q.end + tol
+        if not any(q.start - tol <= e.start and end(e) <= end(q) + tol
                    for q in matching):
             violations.append(
                 f"readout window (event {i}) lies outside every laser pulse "
                 f"for voxel {e.voxel_index}")
 
     if seq.protocol_tag in (LCQDM, LEIBOLD):
-        mw_ends = [e.end for e in events if e.kind == MW_BLOCK]
+        mw_ends = [end(e) for e in events if e.kind == MW_BLOCK]
         windows = [e for e in events if e.kind == READOUT_WINDOW]
         if mw_ends and windows:
-            recurrent_span = max(w.end for w in windows) - max(mw_ends)
+            recurrent_span = max(end(w) for w in windows) - max(mw_ends)
             if recurrent_span > p.t1 * (1 + rtol):
                 msg = (f"recurrent span {recurrent_span:.6g} us exceeds "
                        f"t1 = {p.t1:.6g} us")
@@ -181,34 +201,33 @@ PERTURBATIONS = ("start_before_predecessor", "window_past_dwell",
 
 def perturb(seq, p, how, rng):
     """One seeded edit of a built timeline; offsets straddle the tolerances."""
-    rows = list(seq.events)
-    tol = 1e-9 * max(1.0, reference_span(rows))
+    kind, start, duration, voxel = (seq.kind.copy(), seq.start.copy(),
+                                    seq.duration.copy(), seq.voxel.copy())
+    ends = start + duration
+    tol = 1e-9 * max(1.0, seq.span())
     factor = rng.choice((0.5, 2.0, 1e6))
-    windows = [i for i, e in enumerate(rows) if e.kind == READOUT_WINDOW]
+    windows = np.flatnonzero(kind == WINDOW_CODE).tolist()
     if how == "start_before_predecessor":
-        i = rng.randrange(1, len(rows))
-        e = rows[i]
-        start = max(0.0, rows[i - 1].start - factor * tol)
-        rows[i] = SequenceEvent(e.kind, start, e.duration, e.voxel_index)
+        i = rng.randrange(1, kind.size)
+        start[i] = max(0.0, start[i - 1] - factor * tol)
     elif how == "window_past_dwell":
         i = rng.choice(windows)
-        w = rows[i]
-        dwell_end = max((q.end for q in rows if q.kind == CONFOCAL_LASER_PULSE
-                         and q.voxel_index == w.voxel_index), default=w.end)
-        rows[i] = SequenceEvent(w.kind, w.start,
-                                dwell_end + factor * tol - w.start, w.voxel_index)
+        dwell_ends = ends[(kind == LASER_CODE) & (voxel == voxel[i])]
+        dwell_end = dwell_ends.max() if dwell_ends.size else ends[i]
+        duration[i] = dwell_end + factor * tol - start[i]
     elif how == "laser_dropped":
-        lasers = [i for i, e in enumerate(rows) if e.kind == CONFOCAL_LASER_PULSE]
+        lasers = np.flatnonzero(kind == LASER_CODE).tolist()
         if lasers:
-            del rows[rng.choice(lasers)]
+            keep = np.arange(kind.size) != rng.choice(lasers)
+            kind, start, duration, voxel = (kind[keep], start[keep],
+                                            duration[keep], voxel[keep])
     else:
         i = windows[-1]
-        w = rows[i]
-        mw_end = max((e.end for e in rows if e.kind == MW_BLOCK), default=0.0)
-        late = mw_end + p.t1 * (1 + factor * 1e-9) - w.end
-        rows[i] = SequenceEvent(w.kind, w.start + max(0.0, late), w.duration,
-                                w.voxel_index)
-    return PulseSequence.from_events(rows, seq.protocol_tag)
+        mw_ends = ends[kind == MW_CODE]
+        mw_end = mw_ends.max() if mw_ends.size else 0.0
+        late = mw_end + p.t1 * (1 + factor * 1e-9) - ends[i]
+        start[i] += max(0.0, late)
+    return PulseSequence(kind, start, duration, voxel, seq.protocol_tag)
 
 
 def reference_slots_within(budget, slot):
@@ -383,9 +402,6 @@ class TestInputHygiene:
     @pytest.mark.parametrize("start, duration", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
     def test_non_finite_times_rejected(self, start, duration):
-        with pytest.raises(DomainError, match="finite"):
-            PulseSequence.from_events(
-                [SequenceEvent("MWBlock", start, duration)], LCQDM)
         with pytest.raises(DomainError, match="finite"):
             PulseSequence(np.array([2], np.int8), [start], [duration], [-1],
                           LCQDM)
@@ -576,23 +592,16 @@ class TestValidation:
 
     def test_t1_budget_violation(self):
         p = make_params(t1=100.0)
-        events = (
-            SequenceEvent("MWBlock", 0.0, 10.0),
-            SequenceEvent("ReadoutWindow", 10.0, 5.0, 0),
-            SequenceEvent("ReadoutWindow", 106.0, 5.0, 1),  # ends at t1 + 11
-        )
-        report = validate_sequence(PulseSequence.from_events(events, LCQDM), p)
+        rows = [(MW_CODE, 0.0, 10.0, -1), (WINDOW_CODE, 10.0, 5.0, 0),
+                (WINDOW_CODE, 106.0, 5.0, 1)]  # ends at t1 + 11
+        report = validate_sequence(columns_sequence(rows, LCQDM), p)
         assert not report.ok
         assert any("t1" in v for v in report.violations)
 
     def test_containment_violation(self):
         p = make_params()
-        events = (
-            SequenceEvent("ConfocalLaserPulse", 0.0, 5.0, 0),
-            SequenceEvent("ReadoutWindow", 10.0, 2.0, 0),
-        )
-        report = validate_sequence(
-            PulseSequence.from_events(events, CONVENTIONAL), p)
+        rows = [(LASER_CODE, 0.0, 5.0, 0), (WINDOW_CODE, 10.0, 2.0, 0)]
+        report = validate_sequence(columns_sequence(rows, CONVENTIONAL), p)
         assert not report.ok
         assert any("laser pulse" in v for v in report.violations)
 
@@ -618,54 +627,32 @@ class TestValidation:
 
     def test_unsorted_events_flagged(self):
         p = make_params()
-        events = (
-            SequenceEvent("MWBlock", 10.0, 5.0),
-            SequenceEvent("LightSheetPulse", 0.0, 5.0),
-        )
-        report = validate_sequence(PulseSequence.from_events(events, LCQDM), p)
+        rows = [(MW_CODE, 10.0, 5.0, -1), (LS_CODE, 0.0, 5.0, -1)]
+        report = validate_sequence(columns_sequence(rows, LCQDM), p)
         assert not report.ok
 
     def test_event_invariants(self):
-        def single(*row):
-            return PulseSequence.from_events([SequenceEvent(*row)], LCQDM)
         with pytest.raises(DomainError):
-            single("ReadoutWindow", -1.0, 5.0, 0)
+            columns_sequence([(WINDOW_CODE, -1.0, 5.0, 0)], LCQDM)
         with pytest.raises(DomainError):
-            single("ReadoutWindow", 0.0, -5.0, 0)
-        with pytest.raises(DomainError):
-            single("Bogus", 0.0, 5.0)
-        with pytest.raises(DomainError):
-            single("ReadoutWindow", 0.0, 5.0, -1)
+            columns_sequence([(WINDOW_CODE, 0.0, -5.0, 0)], LCQDM)
 
     def test_several_pulses_per_voxel(self):
         # the calibration pattern: a window held by the second of two pulses
         # of its voxel, another by none of them, one voxel without pulses;
         # pulses and windows without a voxel form a group of their own
         p = make_params()
-        events = (
-            SequenceEvent("ConfocalLaserPulse", 0.0, 5.0, 0),
-            SequenceEvent("ReadoutWindow", 1.0, 1.0, 0),
-            SequenceEvent("ConfocalLaserPulse", 10.0, 5.0, 0),
-            SequenceEvent("ReadoutWindow", 12.0, 1.0, 0),
-            SequenceEvent("ReadoutWindow", 16.0, 1.0, 0),
-            SequenceEvent("ReadoutWindow", 18.0, 1.0, 1),
-            SequenceEvent("ConfocalLaserPulse", 20.0, 1.0),
-            SequenceEvent("ReadoutWindow", 20.0, 1.0),
-            SequenceEvent("ReadoutWindow", 22.0, 1.0),
-        )
-        seq = PulseSequence.from_events(events, CALIBRATION)
+        rows = [(LASER_CODE, 0.0, 5.0, 0), (WINDOW_CODE, 1.0, 1.0, 0),
+                (LASER_CODE, 10.0, 5.0, 0), (WINDOW_CODE, 12.0, 1.0, 0),
+                (WINDOW_CODE, 16.0, 1.0, 0), (WINDOW_CODE, 18.0, 1.0, 1),
+                (LASER_CODE, 20.0, 1.0, -1), (WINDOW_CODE, 20.0, 1.0, -1),
+                (WINDOW_CODE, 22.0, 1.0, -1)]
+        seq = columns_sequence(rows, CALIBRATION)
         report = validate_sequence(seq, p)
         assert report.violations == (
             "readout window (event 4) lies outside every laser pulse for voxel 0",
             "readout window (event 8) lies outside every laser pulse for voxel None")
         assert report == reference_validate(seq, p)
-
-
-def columns_sequence(rows, tag):
-    """Sequence from (kind code, start, duration, voxel) rows, voxel -1 kept."""
-    kind, start, duration, voxel = zip(*rows) if rows else ((), (), (), ())
-    return PulseSequence(np.array(kind, np.int8), np.array(start, float),
-                         np.array(duration, float), np.array(voxel, np.int64), tag)
 
 
 class TestPairingShortcut:
@@ -769,12 +756,11 @@ class TestGoldenTimelines:
 
     @staticmethod
     def check(seq, rows):
-        assert seq.events == rows
+        assert event_rows(seq) == rows
         assert seq.windows() == tuple(e for e in rows if e.kind == READOUT_WINDOW)
         assert seq.to_text() == reference_text(rows)
         assert seq.span() == reference_span(rows)
         assert duty_cycle(seq) == pytest.approx(reference_duty(rows), rel=1e-12)
-        assert PulseSequence.from_events(rows, seq.protocol_tag) == seq
 
 
 class TestDutyCycle:
@@ -787,12 +773,11 @@ class TestDutyCycle:
             5.0 / 125.1, rel=1e-9)
 
     def test_no_windows(self):
-        seq = PulseSequence.from_events((SequenceEvent("MWBlock", 0.0, 10.0),),
-                                        LCQDM)
+        seq = columns_sequence([(MW_CODE, 0.0, 10.0, -1)], LCQDM)
         assert duty_cycle(seq) == 0.0
 
     def test_empty_sequence(self):
-        seq = PulseSequence.from_events((), LCQDM)
+        seq = columns_sequence([], LCQDM)
         assert seq.span() == 0.0
         assert duty_cycle(seq) == 0.0
         assert seq.to_text() == "\n"
