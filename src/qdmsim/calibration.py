@@ -50,7 +50,11 @@ E_CUBED_DECAY = math.exp(-3.0)
 
 @dataclass(frozen=True)
 class CalibrationTrace:
-    """Delay sweep at one intensity: t_sweep (us), sig_pl and ref_pl (counts/us)."""
+    """Delay sweep at one intensity: t_sweep (us), sig_pl and ref_pl (counts/us).
+
+    The trace keeps read-only copies of the three columns; the caller's
+    arrays stay as they were.
+    """
 
     intensity: float
     t_sweep: np.ndarray
@@ -58,9 +62,9 @@ class CalibrationTrace:
     ref_pl: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t_sweep, dtype=float)
-        s = np.asarray(self.sig_pl, dtype=float)
-        r = np.asarray(self.ref_pl, dtype=float)
+        t = np.array(self.t_sweep, dtype=float)
+        s = np.array(self.sig_pl, dtype=float)
+        r = np.array(self.ref_pl, dtype=float)
         if not (t.shape == s.shape == r.shape) or t.ndim != 1:
             raise DomainError("trace columns must be 1-D and equally long")
         if t.size and t[0] < 0:

@@ -219,7 +219,7 @@ def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
 
     Full cycles cost overhead + batch * slot, the partial cycle overhead +
     partial * slot, and each of the nz - 1 focus steps replaces one dead
-    time t_d with t_z_step.
+    time t_d with t_z_step.  A total that overflows is a DomainError.
     """
     batch, overhead, slot = cycle_layout(protocol_tag, p)
     if t_z_step is not None and not 0 <= t_z_step < math.inf:
@@ -230,6 +230,9 @@ def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
         total += overhead + partial * slot
     if t_z_step is not None:
         total += (grid.nz - 1) * (t_z_step - p.t_d)
+    if not math.isfinite(total):
+        raise DomainError(f"a {protocol_tag} scan of {grid.n_voxels} voxels "
+                          f"ends at {total!r} us; its total overflows")
     return total
 
 

@@ -68,8 +68,13 @@ def _paper_form(protocol_tag: str, p):
 
 def eta_paper(p: ProtocolParams, protocol_tag: str) -> float:
     """The paper's sensitivity of one protocol, sqrt(us); see the module
-    docstring for its three forms and their gap to eta_exact."""
-    return float(_paper_form(protocol_tag, p))
+    docstring for its three forms and their gap to eta_exact.  A value that
+    overflows, as (overhead + t1) * slot can for finite times, is a
+    DomainError."""
+    eta = float(_paper_form(protocol_tag, p))
+    if not math.isfinite(eta):
+        raise DomainError(f"the paper's {protocol_tag} eta overflows ({eta!r})")
+    return eta
 
 
 def readout_decay_sum(n: int, slot: float, t1: float) -> float:
@@ -230,7 +235,8 @@ def sweep(spec: SweepSpec) -> SensitivityGrid:
 
     The laser timescales are evaluated once per intensity; the paper's
     forms then broadcast over the (t_mw, I_conf) mesh.  An out-of-range
-    intensity marks its column invalid and the sweep continues.
+    intensity marks its column invalid and the sweep continues; a valid
+    cell whose eta or ratio overflows is a DomainError.
     """
     t_init, t_ro = np.full((2, len(spec.i_conf_grid)), np.nan)
     col_errors = []
@@ -243,7 +249,15 @@ def sweep(spec: SweepSpec) -> SensitivityGrid:
     t_mw = np.asarray(spec.t_mw_grid, dtype=float)[:, None]
     mesh = SimpleNamespace(t_init_ls=init_time(spec.model, spec.i_ls), t_init_conf=t_init,
                            t_ro_conf=t_ro, t_mw=t_mw, t_d=spec.t_d, t1=spec.t1)
-    lc, leibold, conv = (_paper_form(tag, mesh) for tag in PROTOCOLS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lc, leibold, conv = (_paper_form(tag, mesh) for tag in PROTOCOLS)
+        cells = (lc, leibold, conv, leibold / lc, conv / lc)
+    overflowed = ~np.isnan(t_ro) & ~np.isfinite(cells).all(axis=0)
+    if overflowed.any():
+        r, c = np.argwhere(overflowed)[0]
+        raise DomainError(f"the sweep overflows at t_mw = {spec.t_mw_grid[r]!r} us, "
+                          f"I_conf = {spec.i_conf_grid[c]!r} mW/um2: an eta or "
+                          "ratio is not finite")
     errors = tuple((r, c, msg) for r in range(len(spec.t_mw_grid))
                    for c, msg in col_errors)
-    return SensitivityGrid(spec, lc, leibold, conv, leibold / lc, conv / lc, errors)
+    return SensitivityGrid(spec, *cells, errors)

@@ -31,11 +31,11 @@ code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
 (int64, -1 for none).  `build_cycle` fills them with strided assignments,
 the validator and the reductions (span, duty cycle) work on them directly,
 and `windows()` returns the readout windows as `SequenceEvent` rows.  The
-constructor checks every column; a builder-made timeline skips the
-re-check of what holds by construction (dtypes, kind codes, voxels, per-event
-times) and keeps only the check that an overhead or slot did not overflow
-to inf, made in closed form.  A sequence holds at
-most MAX_EVENTS events; a larger cycle is a DomainError raised before any
+constructor checks every column; a builder-made timeline skips that
+re-check, because its columns hold every invariant by construction:
+`cycle_layout` refuses a cycle whose end overflows, and that end bounds
+every start and end of the cycle and of any partial cycle.  A sequence holds
+at most MAX_EVENTS events; a larger cycle is a DomainError raised before any
 column is allocated, and its totals come from `cycle_layout` instead.
 
 Readout windows in the recurrent protocols double as the confocal dwell
@@ -153,7 +153,7 @@ class PulseSequence:
     def _unchecked(cls, kind, start, duration, voxel, protocol_tag):
         """Sequence from columns that hold every invariant by construction
         (dtypes, equal lengths, kind range, finite non-negative times, voxel
-        >= -1); build_cycle's fast path."""
+        >= -1); how build_cycle makes every cycle."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "protocol_tag", protocol_tag)
         _freeze(seq, (kind, start, duration, voxel))
@@ -197,15 +197,6 @@ def _freeze(seq: PulseSequence, cols) -> None:
     for name, col in zip(("kind", "start", "duration", "voxel"), cols):
         col.flags.writeable = False
         object.__setattr__(seq, name, col)
-
-
-def _empty_columns(n_events: int, protocol_tag: str):
-    if n_events > MAX_EVENTS:
-        raise DomainError(
-            f"a {protocol_tag} cycle of {n_events} events exceeds the "
-            f"{MAX_EVENTS} a sequence may hold; use cycle_layout for its totals")
-    return (np.empty(n_events, np.int8), np.empty(n_events), np.empty(n_events),
-            np.full(n_events, -1, np.int64))
 
 
 def _slots_within(budget: float, slot: float) -> int:
@@ -257,9 +248,19 @@ def _cycle(protocol_tag: str, p):
 
 
 def _layout(protocol_tag: str, p: ProtocolParams):
-    """cycle_layout's numbers (the count needs a scalar p), rows and slot events."""
+    """cycle_layout's numbers (the count needs a scalar p), rows and slot events.
+
+    The last event of the last slot ends last; its end, summed in the order
+    build_cycle's columns sum it, bounds every start and end of the cycle,
+    and, as rounding is monotone, of every partial cycle.  It must be finite.
+    """
     recurrent, overhead, slot, rows, slot_events = _cycle(protocol_tag, p)
     count = _slots_within(p.t1, slot) if recurrent else 1
+    _, offset, length, _ = slot_events[-1]
+    end = overhead + (count - 1) * slot + offset + length
+    if not math.isfinite(end):
+        raise DomainError(f"a {protocol_tag} cycle of {count} readouts ends at "
+                          f"{end!r} us; its times overflow")
     return count, overhead, slot, rows, slot_events
 
 
@@ -270,7 +271,7 @@ def cycle_layout(protocol_tag: str, p: ProtocolParams
     A recurrent protocol reads as many slots as fit in t1 (at least 1), the
     conventional one reads once.  A cycle of n readouts spans overhead +
     n * slot, and its k-th readout window opens k * slot after the end of
-    the MW block.
+    the MW block.  A cycle whose end overflows is a DomainError.
     """
     return _layout(protocol_tag, p)[:3]
 
@@ -287,27 +288,15 @@ def build_cycle(protocol_tag: str, p: ProtocolParams,
         raise DomainError(f"n_readouts must be an integer, got {n_readouts!r}") from None
     if not 1 <= n <= count:
         raise DomainError(f"n_readouts must be in [1, {count}], got {n}")
-    # The columns hold the constructor's invariants by construction, unless
-    # the overhead or a slot overflowed to inf.  The last event of the last
-    # slot has the largest start and the latest end, and its start includes
-    # the overhead, so its end alone decides; it is summed here in the order
-    # the columns sum it.  On overflow numpy's warnings are silenced, so the
-    # checked constructor raises its usual DomainError.
-    _, offset, length, _ = slot_events[-1]
-    if math.isfinite(overhead + (n - 1) * slot + offset + length):
-        return PulseSequence._unchecked(
-            *_cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag),
-            protocol_tag)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return PulseSequence(
-            *_cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag),
-            protocol_tag)
-
-
-def _cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag):
-    """build_cycle's kind, start, duration and voxel columns."""
     head, width = len(prelude), len(slot_events)
-    kind, start, duration, voxel = _empty_columns(head + width * n, protocol_tag)
+    n_events = head + width * n
+    if n_events > MAX_EVENTS:
+        raise DomainError(
+            f"a {protocol_tag} cycle of {n_events} events exceeds the "
+            f"{MAX_EVENTS} a sequence may hold; use cycle_layout for its totals")
+    kind, start, duration = (np.empty(n_events, np.int8), np.empty(n_events),
+                             np.empty(n_events))
+    voxel = np.full(n_events, -1, np.int64)
     for i, row in enumerate(prelude):
         kind[i], start[i], duration[i] = row
     k = np.arange(n)
@@ -317,7 +306,7 @@ def _cycle_columns(n, overhead, slot, prelude, slot_events, protocol_tag):
             code, window_start + offset if offset else window_start, length)
         if addressed:
             voxel[i::width] = k
-    return kind, start, duration, voxel
+    return PulseSequence._unchecked(kind, start, duration, voxel, protocol_tag)
 
 
 # Full-cycle shorthands for build_cycle(tag, p); a partial cycle goes

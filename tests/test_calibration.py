@@ -276,6 +276,19 @@ class TestTraceHygiene:
         with pytest.raises(DomainError, match="equally long"):
             CalibrationTrace(1.0, [0.0, 1.0, 2.0], [1, 1, 1], [1, 1])
 
+    def test_caller_arrays_stay_writeable(self):
+        t, s, r = np.linspace(0.0, 20.0, 50), np.ones(50), np.full(50, 2.0)
+        g = t.copy()
+        traces = (CalibrationTrace(1.0, t, s, r),
+                  simulate_calibration(PhotophysicsModel(), 1.0, g, 1, 0,
+                                       noiseless=True))
+        for caller in (t, s, r, g):
+            assert caller.flags.writeable
+        for trace in traces:
+            for col in (trace.t_sweep, trace.sig_pl, trace.ref_pl):
+                assert not col.flags.writeable
+                assert not any(np.shares_memory(col, caller) for caller in (t, s, r, g))
+
     def test_csv_roundtrip(self):
         trace = exponential_trace(tau_p=3.0, t_max=9.0, n=10)
         again = read_trace_csv(trace_to_csv(trace), trace.intensity)

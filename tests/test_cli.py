@@ -56,6 +56,15 @@ def small_config(tmp_path, **overrides):
     return path
 
 
+# 2500 voxels take more than one cycle of any protocol, so each plan's own
+# scan total overflows.
+HUGE_T_MW = {"t_mw = 100 us": "t_mw = 1.7e308 us",
+             "t_mw_max = 1000 us": "t_mw_max = 1.75e308 us",
+             "grid_nx = 100": "grid_nx = 50", "grid_ny = 100": "grid_ny = 50"}
+OVERFLOWING_CYCLE = {"t_mw = 100 us": "t_mw = 1.7e308 us", "init_a = 0.7": "init_a = 307",
+                     "init_b = -0.9": "init_b = 0", "init_c = 0.1": "init_c = 0"}
+
+
 class TestConfigParsing:
     def test_defaults_canonical_units(self):
         cfg = default_config()
@@ -363,6 +372,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("domain error:")
+
+    # Every time finite: with t_mw = 1.7e308 us the cycles stay finite, but
+    # the paper's eta, the sweep's top row and the scan totals overflow; with
+    # t_init = 1e307 us as well, the LCQDM and conventional cycles overflow.
+    @pytest.mark.parametrize("overrides, argv", [
+        (HUGE_T_MW, ("eval",)),
+        (HUGE_T_MW, ("sweep",)),
+        (HUGE_T_MW, ("plan", "--protocol", "lcqdm")),
+        (HUGE_T_MW, ("plan", "--protocol", "leibold")),
+        (HUGE_T_MW, ("plan", "--protocol", "conventional")),
+        (OVERFLOWING_CYCLE, ("simulate", "--protocol", "lcqdm")),
+        (OVERFLOWING_CYCLE, ("simulate", "--protocol", "conventional")),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_overflow_is_domain_error(self, tmp_path, overrides, argv):
+        cfg_path = small_config(tmp_path, **overrides)
+        proc = run_module("--config", str(cfg_path), *argv,
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("domain error:")
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv, code", [
         (("plan", "--protocol", "lcqdm"), 0),

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
-                    ProtocolParams, PulseSequence, SequenceEvent,
-                    ValidationReport, build_calibration_sequence,
-                    build_conventional_cycle, build_cycle, build_lcqdm_cycle,
-                    build_leibold_cycle, duty_cycle, validate_sequence)
+                    PhotophysicsModel, ProtocolParams, PulseSequence,
+                    SequenceEvent, SimConfig, ValidationReport, VoxelGrid,
+                    build_calibration_sequence, build_conventional_cycle,
+                    build_cycle, build_lcqdm_cycle, build_leibold_cycle,
+                    duty_cycle, eta_exact, plan_acquisition, simulate_protocol,
+                    speedup_report, validate_sequence)
 from qdmsim import sequence
 from qdmsim.sequence import (CONFOCAL_LASER_PULSE, DEAD_TIME, EVENT_KINDS,
                              LIGHT_SHEET_PULSE, MW_BLOCK, READOUT_WINDOW,
@@ -510,23 +512,26 @@ class TestUncheckedBuild:
         ours = build_outcome(build_cycle, tag, p)
         ref = build_outcome(checked_build, tag, p)
         assert type(ours) is type(ref) and ours == ref
+        # the layout refuses exactly the cycles the builder refuses
+        assert isinstance(build_outcome(cycle_layout, tag, p), str) \
+            == isinstance(ours, str)
 
-    # The checked constructor's messages, which the fast path must keep.
+    # The layout refuses an overflowing cycle before any column is filled.
     @pytest.mark.parametrize("tag, overrides, message", [
         (LCQDM, dict(t_init_ls=1e308, t_mw=1e308),
-         "event 2 times must be finite and >= 0, got start=inf, duration=5.0"),
+         "a LCQDM cycle of 980 readouts ends at inf us; its times overflow"),
         (CONVENTIONAL, dict(t_init_conf=1e308, t_mw=1e308),
-         "event 2 times must be finite and >= 0, got start=inf, duration=5.0"),
+         "a Conventional cycle of 1 readouts ends at inf us; its times overflow"),
         (LEIBOLD, dict(t_ro=1e308, t_init_conf=1e308),
-         "event 1 times must be finite and >= 0, got start=nan, duration=1e+308"),
+         "a Leibold cycle of 1 readouts ends at nan us; its times overflow"),
         (LCQDM, dict(t_ro=1.7e308, t_d=1.7e308),
-         "event 2 times must be finite and >= 0, got start=nan, duration=1.7e+308"),
+         "a LCQDM cycle of 1 readouts ends at nan us; its times overflow"),
         (LEIBOLD, dict(t_mw=1.7e308, t_ro=1.7e308, t1=1e308),
-         "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
+         "a Leibold cycle of 1 readouts ends at inf us; its times overflow"),
         (CONVENTIONAL, dict(t_mw=1.7e308, t_ro=1.7e308),
-         "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
+         "a Conventional cycle of 1 readouts ends at inf us; its times overflow"),
         (LEIBOLD, dict(t_mw=1.7e308, t_ro=1.7e308),
-         "event 3 times must be finite and >= 0, got start=inf, duration=0.1"),
+         "a Leibold cycle of 1 readouts ends at inf us; its times overflow"),
     ])
     def test_overflow_raises_as_before(self, tag, overrides, message):
         # numpy warns nothing on the way: under warnings-as-errors the caller
@@ -537,14 +542,32 @@ class TestUncheckedBuild:
                 build_cycle(tag, make_params(**overrides))
         assert str(info.value) == message
 
-    def test_overflowing_last_end_still_builds(self):
-        # every start and duration is finite, only the last end is not: the
-        # closed-form check falls back to the checked constructor, which
-        # accepts the columns as it always did
+    def test_overflowing_last_end_is_refused(self):
+        # every start and duration is finite, only the last end is not
         p = make_params(t_mw=1.7e308, t_ro=1e300, t_d=1e307, t1=1e307)
-        seq = build_cycle(LCQDM, p)
-        assert math.isinf(float(seq.start[-1]) + float(seq.duration[-1]))
-        assert seq == checked_build(LCQDM, p)
+        for call in (cycle_layout, build_cycle, checked_build):
+            with pytest.raises(DomainError, match="ends at inf us"):
+                call(LCQDM, p)
+
+
+# Every time is finite, but every protocol's cycle ends beyond the float
+# range: LCQDM's overhead t_init_ls + t_mw overflows.
+OVERFLOWING_CYCLE = ProtocolParams(t_init_ls=1e308, t_init_conf=1e308,
+                                   t_ro_conf=5.0, t_mw=1.7e308, t_d=0.1, t1=5000.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: eta_exact(p, LCQDM),
+    lambda p: simulate_protocol(
+        SimConfig(p, PhotophysicsModel(), 1.0, 10, 0), LCQDM, noiseless=True),
+    lambda p: plan_acquisition(VoxelGrid(4, 4, 1, 1.0), p, LCQDM),
+    lambda p: speedup_report(VoxelGrid(4, 4, 1, 1.0), p),
+], ids=["eta_exact", "simulate_protocol", "plan_acquisition", "speedup_report"])
+def test_layout_readers_refuse_an_overflowing_cycle(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="its times overflow"):
+            call(OVERFLOWING_CYCLE)
 
 
 class TestMaterializationBound:
