@@ -238,11 +238,10 @@ def _cmd_plan(run: _Run, args) -> str:
     protocol = _PROTOCOL_BY_NAME[args.protocol]
     grid = cfg.voxel_grid()
     params = cfg.protocol_params()
-    plan = plan_acquisition(grid, params, protocol, cal=cfg.aom_calibration(),
-                            t_z_step=cfg.t_z_step)
+    plan = plan_acquisition(grid, params, protocol, t_z_step=cfg.t_z_step)
     ratios = speedup_report(grid, params)
     run.add("plan_cycles.csv", plan.cycles_csv())
-    run.add("plan_rf.csv", plan.rf_csv())
+    run.add("plan_rf.csv", plan.rf_csv(cfg.aom_calibration()))
     report = _kv_block([
         ("protocol", protocol),
         ("n_voxels", grid.n_voxels),

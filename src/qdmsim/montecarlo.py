@@ -74,6 +74,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise DomainError(f"n_trials must be >= 1, got {self.n_trials}")
+        # the trial mean turns the count into a float
+        if self.n_trials > 2**53:
+            raise DomainError("n_trials exceeds 2**53, the largest count a "
+                              "float64 holds exactly")
 
 
 @dataclass(frozen=True)

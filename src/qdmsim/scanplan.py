@@ -9,9 +9,9 @@ Beam pointing is an affine map per axis: each scan/descan AOM channel
 drives at f0 + slope * coordinate_um.  Descan slopes are typically
 opposite in sign so the collected PL stays on the fixed pinhole; the map
 is exactly invertible either way.  The map is separable: the x channels
-depend on ix alone and the y channels on iy alone, so a plan keeps the
-calibration, not a per-voxel table; rf_for_voxel gives one voxel's drive
-frequencies and ScanPlan.rf_csv the whole table.
+depend on ix alone and the y channels on iy alone.  The RF table depends
+on the grid and a calibration; rf_csv(cal) checks and formats it, and
+rf_for_voxel gives one voxel's drive frequencies.
 
 The CSV writers print each float as Python's repr of it (the shortest
 text that reads back to the same double) and each integer in decimal,
@@ -53,6 +53,10 @@ class VoxelGrid:
                                   f"got {size!r}") from None
         if min(self.nx, self.ny, self.nz) < 1:
             raise DomainError("grid dimensions must be >= 1")
+        # _scan_total turns the count into a float
+        if self.n_voxels > 2**53:
+            raise DomainError("grid holds more than 2**53 voxels, the largest "
+                              "count a float64 holds exactly")
         if not (math.isfinite(self.pitch) and self.pitch > 0):
             raise DomainError(f"pitch must be finite and positive, got {self.pitch}")
 
@@ -164,17 +168,15 @@ class ScanPlan:
 
     cycles is a record array with one row per cycle in scan order:
     voxel_start, voxel_end (flat voxel indices, inclusive), start and
-    duration (us).  cal is the AOM calibration the plan was checked
-    against, None without one.  The RF map is separable per axis, so the
-    plan stores no per-voxel frequencies: rf_csv formats each axis once,
-    and rf_for_voxel gives any one voxel's.
+    duration (us).  The RF table depends on the grid and a calibration;
+    rf_csv(cal) checks and formats it, each axis once, and rf_for_voxel
+    gives any one voxel's frequencies.
     """
 
     protocol_tag: str
     grid: VoxelGrid
     cycles: np.recarray
     total_time: float  # us, end of the last cycle
-    cal: Optional[AOMCalibration]
 
     def cycles_csv(self) -> str:
         c = self.cycles
@@ -185,10 +187,9 @@ class ScanPlan:
             *(map(repr, col.tolist()) for col in (c.voxel_start, c.voxel_end, c.start)),
             column_text(c.duration)])
 
-    def rf_csv(self) -> str:
-        cal, g = self.cal, self.grid
-        if cal is None:
-            raise DomainError("plan was built without an AOM calibration")
+    def rf_csv(self, cal: AOMCalibration) -> str:
+        g = self.grid
+        cal.check_grid(g)
         ix, iy = np.arange(g.nx), np.arange(g.ny)
 
         # Each column depends on one axis index: format its values once, then
@@ -237,7 +238,6 @@ def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
 
 
 def plan_acquisition(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
-                     cal: Optional[AOMCalibration] = None,
                      t_z_step: Optional[float] = None) -> ScanPlan:
     """Schedule every voxel of the grid once under the given protocol.
 
@@ -260,10 +260,7 @@ def plan_acquisition(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     start = np.concatenate(([0.0], np.cumsum(duration[:-1])))
     cycles = np.rec.fromarrays([first, last, start, duration],
                                names="voxel_start,voxel_end,start,duration")
-
-    if cal is not None:
-        cal.check_grid(grid)
-    return ScanPlan(protocol_tag, grid, cycles, total, cal)
+    return ScanPlan(protocol_tag, grid, cycles, total)
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,8 @@ class SensitivityGrid:
     """Sweep output: the five float arrays below are indexed [r, c], with row
     r at spec.t_mw_grid[r] and column c at spec.i_conf_grid[c].
 
-    Cells where the intensity fell outside the model validity range are nan
-    in all five, with the reason kept in cell_errors as (r, c, message).
+    An intensity outside the model validity range makes its whole column
+    nan in all five; column_errors keeps one (c, message) per such column.
     """
 
     spec: SweepSpec
@@ -188,7 +188,7 @@ class SensitivityGrid:
     eta_conventional: np.ndarray
     ratio_leibold_over_lc: np.ndarray
     ratio_conv_over_lc: np.ndarray
-    cell_errors: tuple[tuple[int, int, str], ...]
+    column_errors: tuple[tuple[int, str], ...]
 
     @property
     def valid(self) -> np.ndarray:
@@ -258,6 +258,4 @@ def sweep(spec: SweepSpec) -> SensitivityGrid:
         raise DomainError(f"the sweep overflows at t_mw = {spec.t_mw_grid[r]!r} us, "
                           f"I_conf = {spec.i_conf_grid[c]!r} mW/um2: an eta or "
                           "ratio is not finite")
-    errors = tuple((r, c, msg) for r in range(len(spec.t_mw_grid))
-                   for c, msg in col_errors)
-    return SensitivityGrid(spec, *cells, errors)
+    return SensitivityGrid(spec, *cells, tuple(col_errors))

@@ -422,6 +422,44 @@ class TestExitCodes:
         assert proc.stderr.startswith("memory error:")
         assert len(proc.stderr.splitlines()) == 1
 
+    # Counts above 2**53, the largest a float64 holds exactly, once ended
+    # in a traceback from numpy or from an int-to-float conversion.
+    @pytest.mark.parametrize("overrides, argv, code, prefix", [
+        ({"grid_nx = 100": "grid_nx = 10000000000000000000"},
+         ("plan", "--protocol", "conventional"), 1, "config error:"),
+        ({"grid_nx = 100": f"grid_nx = {10**200}", "grid_ny = 100": f"grid_ny = {10**200}"},
+         ("plan", "--protocol", "lcqdm"), 1, "config error:"),
+        ({}, ("simulate", "--protocol", "conventional", "--trials", str(2**62)),
+         2, "domain error:"),
+        ({}, ("simulate", "--protocol", "conventional", "--trials", str(10**30)),
+         2, "domain error:"),
+        ({"n_trials = 2000": f"n_trials = {10**30}"},
+         ("simulate", "--protocol", "conventional"), 2, "domain error:"),
+    ], ids=["grid-1e19", "grid-1e400", "trials-2**62", "trials-1e30",
+            "config-trials-1e30"])
+    def test_count_above_2_53_is_refused(self, tmp_path, overrides, argv, code,
+                                         prefix):
+        cfg_path = small_config(tmp_path, **overrides)
+        proc = run_module("--config", str(cfg_path), *argv,
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == code
+        assert proc.stderr.startswith(prefix)
+        assert "2**53" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_aom_frequency_is_domain_error(self, tmp_path):
+        cfg_path = small_config(tmp_path, **{
+            "aom_scan_x_f0 = 80 MHz": "aom_scan_x_f0 = 1 MHz",
+            "aom_scan_x_slope = 0.1 MHz/um": "aom_scan_x_slope = -0.5 MHz/um"})
+        proc = run_module("--config", str(cfg_path), "plan", "--protocol",
+                          "lcqdm", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "domain error: AOM channel scan_x drives a non-positive frequency")
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_config_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_bytes(default_config_text().encode().replace(

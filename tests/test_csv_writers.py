@@ -3,8 +3,8 @@
 Each reference_* below is the writer as it was before it went through
 qdmsim._csv: one repr/str per value and one f-string or join per row.
 The RF references compute every voxel from VoxelGrid.coords and
-rf_for_voxel, not from the plan, whose table the writer derives from the
-same calibration.  The writers must return the same text, byte for byte,
+rf_for_voxel, not from the plan; the writer gets the same grid and
+calibration.  The writers must return the same text, byte for byte,
 on seeded configs and on random grids that cover invalid sweep columns
 (nan cells), a 1 x 1 x 1 grid, nz = 1, nx != ny, negative AOM slopes and
 plans with focus steps (t_z_step).
@@ -220,10 +220,10 @@ def test_sweep_csv_matches_row_loop(seed):
 @pytest.mark.parametrize("seed", range(N_CONFIGS))
 def test_plan_csvs_match_row_loop(seed, tag):
     cfg = seeded_config(seed)
-    plan = plan_acquisition(cfg.voxel_grid(), cfg.protocol_params(), tag,
-                            cal=cfg.aom_calibration(), t_z_step=cfg.t_z_step)
+    grid, cal = cfg.voxel_grid(), cfg.aom_calibration()
+    plan = plan_acquisition(grid, cfg.protocol_params(), tag, t_z_step=cfg.t_z_step)
     assert plan.cycles_csv() == reference_cycles_csv(plan)
-    assert plan.rf_csv() == reference_rf_csv(cfg.voxel_grid(), cfg.aom_calibration())
+    assert plan.rf_csv(cal) == reference_rf_csv(grid, cal)
 
 
 @st.composite
@@ -255,12 +255,9 @@ def random_configs(draw):
 @given(random_configs(), st.sampled_from(PROTOCOLS))
 def test_writers_match_row_loops_on_random_grids(cfg, tag):
     grid, cal = cfg.voxel_grid(), cfg.aom_calibration()
-    plan = plan_acquisition(grid, cfg.protocol_params(), tag, cal=cal,
-                            t_z_step=cfg.t_z_step)
-    assert plan.rf_csv() == reference_rf_csv(grid, cal)
+    plan = plan_acquisition(grid, cfg.protocol_params(), tag, t_z_step=cfg.t_z_step)
+    assert plan.rf_csv(cal) == reference_rf_csv(grid, cal)
     assert plan.cycles_csv() == reference_cycles_csv(plan)
-    bare = plan_acquisition(grid, cfg.protocol_params(), tag, t_z_step=cfg.t_z_step)
-    assert bare.cycles_csv() == plan.cycles_csv()
     sweep_grid = sweep(cfg.sweep_spec())
     assert sweep_grid.to_csv() == reference_to_csv(sweep_grid)
 

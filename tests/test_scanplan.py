@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qdmsim.scanplan
 from qdmsim import (AOMAxis, AOMCalibration, CONVENTIONAL, DomainError, LCQDM,
@@ -83,14 +84,28 @@ class TestPlanTotals:
         assert lc.total_time == pytest.approx(
             build_cycle(LCQDM, p, 1).span(), rel=1e-12)
 
-    def test_event_sum_equivalence(self):
-        p = make_params()
-        for tag in (LCQDM, LEIBOLD):
-            plan = plan_acquisition(VoxelGrid(100, 100, 1, 1.0), p, tag)
-            event_total = sum(
-                build_cycle(tag, p, c.voxel_end - c.voxel_start + 1).span()
-                for c in plan.cycles)
-            assert plan.total_time == pytest.approx(event_total, rel=1e-12)
+    # t1 up to 500 us against slots of 0.5 to 51 us: full cycles of 1 to
+    # about 1000 readouts, so grids of up to 60 voxels hold one cycle or many
+    @settings(max_examples=80, deadline=None)
+    @given(st.builds(make_params, t_init_ls=st.floats(0.0, 500.0),
+                     t_init_conf=st.floats(0.0, 1500.0), t_ro=st.floats(0.5, 50.0),
+                     t_mw=st.floats(0.0, 1000.0), t_d=st.floats(0.0, 1.0),
+                     t1=st.floats(0.1, 500.0)),
+           st.builds(VoxelGrid, st.integers(1, 5), st.integers(1, 4),
+                     st.integers(1, 3), st.just(1.0)),
+           st.sampled_from([LCQDM, LEIBOLD, CONVENTIONAL]))
+    def test_event_sum_equivalence(self, p, g, tag):
+        plan = plan_acquisition(g, p, tag)
+        spans = [build_cycle(tag, p, c.voxel_end - c.voxel_start + 1).span()
+                 for c in plan.cycles]
+        for c, span in zip(plan.cycles, spans):
+            assert c.duration == pytest.approx(span, rel=1e-12)
+        assert plan.total_time == pytest.approx(math.fsum(spans), rel=1e-12)
+        # both come from _scan_total when no focus step is set
+        r = speedup_report(g, p)
+        totals = {LCQDM: r.total_lcqdm, LEIBOLD: r.total_leibold,
+                  CONVENTIONAL: r.total_conventional}
+        assert totals[tag] == plan.total_time
 
     def test_cycles_partition_grid(self):
         plan = plan_acquisition(VoxelGrid(37, 11, 3, 1.0), make_params(), LEIBOLD)
@@ -334,26 +349,30 @@ class TestRfMapping:
         cal = AOMCalibration(scan_x=AOMAxis(1.0, -0.5), scan_y=AOMAxis(80.0, 0.1),
                              descan_x=AOMAxis(80.0, -0.1),
                              descan_y=AOMAxis(80.0, -0.1))
-        with pytest.raises(DomainError):
-            plan_acquisition(VoxelGrid(10, 10, 1, 1.0), make_params(), LCQDM,
-                             cal=cal)
+        plan = plan_acquisition(VoxelGrid(10, 10, 1, 1.0), make_params(), LCQDM)
+        with pytest.raises(DomainError, match="scan_x drives a non-positive"):
+            plan.rf_csv(cal)
 
 
 class TestRfSchedule:
     def test_every_voxel_once(self):
         g = VoxelGrid(5, 4, 2, 1.0)
-        plan = plan_acquisition(g, make_params(), LEIBOLD, cal=default_cal())
+        cal = default_cal()
+        plan = plan_acquisition(g, make_params(), LEIBOLD)
+        rows = plan.rf_csv(cal).splitlines()[1:]
         voxels = [g.coords(v) for v in range(g.n_voxels)]
-        assert len(set(voxels)) == g.n_voxels
-        for voxel in voxels:
-            freqs = rf_for_voxel(voxel, g, plan.cal)
-            assert voxel_for_rf(freqs, g, plan.cal, iz=voxel[2]) == voxel
+        assert len(set(voxels)) == g.n_voxels == len(rows)
+        for voxel, row in zip(voxels, rows):
+            fields = row.split(",")
+            assert tuple(map(int, fields[:3])) == voxel
+            freqs = tuple(map(float, fields[3:]))
+            assert voxel_for_rf(freqs, g, cal, iz=voxel[2]) == voxel
 
     def test_schedule_frequencies_match_map(self):
         g = VoxelGrid(3, 3, 2, 2.0)
         cal = default_cal()
-        plan = plan_acquisition(g, make_params(), CONVENTIONAL, cal=cal)
-        rows = plan.rf_csv().splitlines()[1:]
+        plan = plan_acquisition(g, make_params(), CONVENTIONAL)
+        rows = plan.rf_csv(cal).splitlines()[1:]
         assert len(rows) == g.n_voxels
         for v, row in enumerate(rows):
             voxel = g.coords(v)
@@ -361,25 +380,17 @@ class TestRfSchedule:
             assert tuple(map(int, fields[:3])) == voxel
             assert tuple(map(float, fields[3:])) == rf_for_voxel(voxel, g, cal)
 
-    def test_no_cal_no_schedule(self):
-        plan = plan_acquisition(VoxelGrid(2, 2, 1, 1.0), make_params(), LCQDM)
-        assert plan.cal is None
-        with pytest.raises(DomainError):
-            plan.rf_csv()
-
     def test_plan_holds_no_per_voxel_rf(self):
         # 10**6 voxels: seven per-voxel columns would take over 50 MiB
         cfg = default_config()
         g = VoxelGrid(1000, 1000, 1, 0.1)
         tracemalloc.start()
         try:
-            plan = plan_acquisition(g, cfg.protocol_params(), LCQDM,
-                                    cal=cfg.aom_calibration())
+            plan_acquisition(g, cfg.protocol_params(), LCQDM)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert plan.cal == cfg.aom_calibration()
 
 
 class TestCsv:
@@ -391,7 +402,7 @@ class TestCsv:
         p, cal = cfg.protocol_params(), cfg.aom_calibration()
         g = VoxelGrid(40, 40, 4, cfg.grid_pitch)
         t_z = 50.0
-        plan = plan_acquisition(g, p, tag, cal=cal, t_z_step=t_z)
+        plan = plan_acquisition(g, p, tag, t_z_step=t_z)
 
         batch, overhead, slot = cycle_layout(tag, p)
         n, plane = g.n_voxels, g.nx * g.ny
@@ -412,7 +423,7 @@ class TestCsv:
             voxel = g.coords(v)
             freqs = rf_for_voxel(voxel, g, cal)
             rows.append(",".join([*map(str, voxel), *map(repr, freqs)]))
-        assert plan.rf_csv() == "\n".join(rows) + "\n"
+        assert plan.rf_csv(cal) == "\n".join(rows) + "\n"
 
     def test_cycles_csv_header_and_rows(self):
         plan = plan_acquisition(VoxelGrid(10, 10, 1, 1.0), make_params(), LCQDM)
@@ -422,8 +433,7 @@ class TestCsv:
         assert lines[1].startswith("0,0,99,0.0,")
 
     def test_rf_csv_header(self):
-        plan = plan_acquisition(VoxelGrid(2, 2, 1, 1.0), make_params(), LCQDM,
-                                cal=default_cal())
-        lines = plan.rf_csv().strip().split("\n")
+        plan = plan_acquisition(VoxelGrid(2, 2, 1, 1.0), make_params(), LCQDM)
+        lines = plan.rf_csv(default_cal()).strip().split("\n")
         assert lines[0] == "voxel_x,voxel_y,voxel_z,f_sx_mhz,f_sy_mhz,f_dx_mhz,f_dy_mhz"
         assert len(lines) == 5

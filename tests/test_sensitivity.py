@@ -212,17 +212,17 @@ class TestSweep:
             cell.eta_conventional / cell.eta_lcqdm, rel=1e-12)
 
     def test_invalid_cells_recorded_not_fatal(self, model):
-        spec = SweepSpec(i_conf_grid=(0.5, 1.0, 12.0), t_mw_grid=(10.0,),
+        spec = SweepSpec(i_conf_grid=(0.5, 1.0, 12.0), t_mw_grid=(10.0, 100.0),
                          i_ls=0.2, model=model, t1=5000.0, t_d=0.1)
         grid = sweep(spec)
-        assert grid.valid[0, 0]
-        assert grid.valid[0, 1]
-        assert not grid.valid[0, 2]
-        assert all(np.isnan(a[0, 2]) for a in (
+        assert grid.valid[:, :2].all()
+        assert not grid.valid[:, 2].any()
+        assert all(np.isnan(a[:, 2]).all() for a in (
             grid.eta_lcqdm, grid.eta_leibold, grid.eta_conventional,
             grid.ratio_leibold_over_lc, grid.ratio_conv_over_lc))
-        assert grid.n_valid == 2
-        assert grid.cell_errors[0][:2] == (0, 2)
+        assert grid.n_valid == 4
+        # one entry per invalid column
+        assert [c for c, _ in grid.column_errors] == [2]
 
     def test_out_of_range_i_ls_rejected(self, model):
         with pytest.raises(DomainError):
