@@ -4,11 +4,12 @@ Config text is line oriented: `key = value [unit]`; `#` starts a comment at
 the start of a line or after whitespace, elsewhere it is part of the value.
 Dimensioned keys require a unit suffix and are converted to the canonical
 units (us, um, mW, mW/um^2, MHz, counts/us); dimensionless keys must not
-carry one.  Unknown and missing keys are rejected, and so is a sweep of
-more than MAX_SWEEP_CELLS cells.  A config serializes back to canonical
-text that re-parses to an equal config; a string value that text cannot
-carry (empty, multi-line, padded with whitespace or holding a comment
-marker) makes to_text raise ConfigError.
+carry one.  Unknown and missing keys are rejected, and so are a sweep of
+more than MAX_SWEEP_CELLS cells and an `n_trials` that the Monte Carlo's
+SimConfig refuses (outside [1, 2**53]).  A config serializes back to
+canonical text that re-parses to an equal config; a string value that text
+cannot carry (empty, multi-line, padded with whitespace or holding a
+comment marker) makes to_text raise ConfigError.
 
 Each key is declared once, as a RunConfig field whose `_key(...)` metadata
 gives its dimension, whether it is required and whether it must be >= 0;
@@ -24,6 +25,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import ConfigError, DomainError
+from .montecarlo import SimConfig
 from .photophysics import (LogQuadraticCurve, PhotophysicsModel,
                            confocal_intensity, init_time, lightsheet_intensity,
                            readout_time)
@@ -246,8 +248,9 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(**{key: seen.get(key) for key in _KEYS})
     try:
-        cfg.model()
-        cfg.protocol_params()
+        SimConfig(params=cfg.protocol_params(), model=cfg.model(),
+                  i_conf=cfg.intensity_conf(), n_trials=cfg.n_trials,
+                  master_seed=cfg.master_seed)
         cfg.voxel_grid()
         cfg.aom_calibration()
         cfg.sweep_spec()

@@ -94,7 +94,7 @@ class PhotophysicsModel:
     init_curve and readout_curve are valid on [valid_min, valid_max]; requests
     outside raise OutOfRangeError rather than extrapolating.  At and below the
     saturation intensity, initialization must be the slower process
-    (init >= readout); this is checked on a log-spaced sample grid when the
+    (init >= readout); this is checked exactly, in closed form, when the
     model is built.
     """
 
@@ -120,15 +120,24 @@ class PhotophysicsModel:
                 f"invalid validity range [{self.valid_min}, {self.valid_max}]")
         self._check_init_slower_below_saturation()
 
-    def _check_init_slower_below_saturation(self, n: int = 33) -> None:
-        # Sample up to i_sat only: above saturation the fitted curves may
-        # legitimately cross.
+    def _check_init_slower_below_saturation(self) -> None:
+        # Checked up to i_sat only: above saturation the fitted curves may
+        # legitimately cross.  log10(t_init / t_ro) is a quadratic in
+        # log10(I), so its least value on the interval lies at an end or,
+        # when the quadratic opens upward, at its vertex.
         hi = min(self.i_sat, self.valid_max)
         if hi <= self.valid_min:
             return
         lo_log, hi_log = math.log10(self.valid_min), math.log10(hi)
-        for k in range(n):
-            i = 10.0 ** (lo_log + (hi_log - lo_log) * k / (n - 1))
+        db = self.init_curve.b - self.readout_curve.b
+        dc = self.init_curve.c - self.readout_curve.c
+        logs = [lo_log, hi_log]
+        if dc > 0:
+            vertex = -db / (2 * dc)
+            if lo_log < vertex < hi_log:
+                logs.insert(1, vertex)
+        for log_i in logs:
+            i = 10.0 ** log_i
             t_init = self.init_curve.duration(i)
             t_ro = self.readout_curve.duration(i)
             if t_init < t_ro * (1 - 1e-9):

@@ -378,31 +378,30 @@ def validate_sequence(seq: PulseSequence, p: ProtocolParams) -> ValidationReport
     for i in (np.flatnonzero(start[1:] < start[:-1] - tol) + 1).tolist():
         violations.append(f"event {i} starts at {float(start[i])} before event {i - 1}")
 
-    # Pulses grouped by voxel (event order kept within a voxel); each window
-    # is paired with every pulse of its voxel and needs one that holds it.
-    # No pairing is done when no pulse shares a voxel with a window, as in
-    # LCQDM (no pulses) and Conventional (an init pulse on voxel -1).
+    # Pulses grouped by voxel, event order kept.  Round r tests each unheld
+    # window against pulse r of its voxel block [first, last] (the last once
+    # the block is used up); a builder cycle, one pulse per voxel, takes one
+    # round.  Windows on a voxel with no pulse (LCQDM, Conventional) pass.
     pulses = np.flatnonzero(seq.kind == _LASER)
     windows = np.flatnonzero(seq.kind == _WINDOW)
     if pulses.size:
         pulses = pulses[np.argsort(voxel[pulses], kind="stable")]
         pulse_voxel, window_voxel = voxel[pulses], voxel[windows]
-        lo = np.searchsorted(pulse_voxel, window_voxel, side="left")
-        count = np.searchsorted(pulse_voxel, window_voxel, side="right") - lo
-        total = int(count.sum())
-        if total:
-            pair_window = np.repeat(windows, count)
-            first_pair = np.cumsum(count) - count
-            pair_pulse = pulses[np.repeat(lo - first_pair, count) + np.arange(total)]
-            holds = ((start[pair_pulse] - tol <= start[pair_window])
-                     & (end[pair_window] <= end[pair_pulse] + tol))
-            held = np.zeros(len(start), bool)
-            held[pair_window[holds]] = True
-            for i in windows[(count > 0) & ~held[windows]].tolist():
-                v = int(voxel[i])
-                violations.append(
-                    f"readout window (event {i}) lies outside every laser pulse "
-                    f"for voxel {v if v >= 0 else None}")
+        first = np.searchsorted(pulse_voxel, window_voxel, side="left")
+        last = np.searchsorted(pulse_voxel, window_voxel, side="right") - 1
+        unheld = np.flatnonzero(first <= last)
+        for r in range(int((last - first).max(initial=-1)) + 1):
+            if not unheld.size:
+                break
+            w = windows[unheld]
+            q = pulses[np.minimum(first[unheld] + r, last[unheld])]
+            holds = (start[q] - tol <= start[w]) & (end[w] <= end[q] + tol)
+            unheld = unheld[~holds]
+        for i in windows[unheld].tolist():
+            v = int(voxel[i])
+            violations.append(
+                f"readout window (event {i}) lies outside every laser pulse "
+                f"for voxel {v if v >= 0 else None}")
 
     if seq.protocol_tag in (LCQDM, LEIBOLD):
         mw_ends = end[seq.kind == _MW]

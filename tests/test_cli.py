@@ -434,7 +434,7 @@ class TestExitCodes:
         ({}, ("simulate", "--protocol", "conventional", "--trials", str(10**30)),
          2, "domain error:"),
         ({"n_trials = 2000": f"n_trials = {10**30}"},
-         ("simulate", "--protocol", "conventional"), 2, "domain error:"),
+         ("simulate", "--protocol", "conventional"), 1, "config error:"),
     ], ids=["grid-1e19", "grid-1e400", "trials-2**62", "trials-1e30",
             "config-trials-1e30"])
     def test_count_above_2_53_is_refused(self, tmp_path, overrides, argv, code,
@@ -447,6 +447,22 @@ class TestExitCodes:
         assert "2**53" in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    # The config's trial count is checked when the config is parsed, so a
+    # command that runs no trials refuses it too.
+    @pytest.mark.parametrize("argv", [
+        ("eval",), ("plan", "--protocol", "lcqdm"),
+        ("simulate", "--protocol", "conventional"),
+    ], ids=lambda v: "-".join(v))
+    def test_zero_config_trials_is_config_error(self, tmp_path, argv):
+        cfg_path = small_config(tmp_path, **{"n_trials = 2000": "n_trials = 0"})
+        proc = run_module("--config", str(cfg_path), *argv,
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error:")
+        assert "n_trials must be >= 1" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
     def test_negative_aom_frequency_is_domain_error(self, tmp_path):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qdmsim import (DomainError, LogQuadraticCurve, OutOfRangeError,
                     PhotophysicsModel, confocal_intensity, contrast_at_delay,
                     init_time, lightsheet_intensity, photon_flux, readout_time)
+from qdmsim.photophysics import VALID_INTENSITY_MAX, VALID_INTENSITY_MIN
 
 
 class TestIntensities:
@@ -236,6 +237,29 @@ class TestModelValidation:
             PhotophysicsModel(**slow_readout)
         model = PhotophysicsModel(i_sat=0.0005, **slow_readout)
         assert model.i_sat < model.valid_min
+
+    def test_crossing_between_log_samples_is_refused(self):
+        # t_init / t_ro is least, 0.977, at I = 0.02839 mW/um^2, which lies
+        # between the points of a 33-point log grid over [0.001, 1]
+        with pytest.raises(DomainError, match=r"violated at I=0\.02839"):
+            PhotophysicsModel(init_curve=LogQuadraticCurve(48.5464453125, 61.575, 20.0))
+
+    @given(init=st.tuples(st.floats(-2, 2), st.floats(-3, 3), st.floats(-1, 1)),
+           readout=st.tuples(st.floats(-2, 2), st.floats(-3, 3), st.floats(-1, 1)),
+           i_sat=st.floats(0.01, 20))
+    @settings(max_examples=300)
+    def test_domination_check_matches_a_fine_grid(self, init, readout, i_sat):
+        model_kw = dict(init_curve=LogQuadraticCurve(*init),
+                        readout_curve=LogQuadraticCurve(*readout), i_sat=i_sat)
+        x = np.linspace(math.log10(VALID_INTENSITY_MIN),
+                        math.log10(min(i_sat, VALID_INTENSITY_MAX)), 10**4)
+        da, db, dc = np.subtract(init, readout)
+        least_ratio = (10.0 ** (da + db * x + dc * x * x)).min()
+        if least_ratio < 0.999:
+            with pytest.raises(DomainError, match="dominate"):
+                PhotophysicsModel(**model_kw)
+        elif least_ratio > 1.001:
+            PhotophysicsModel(**model_kw)
 
     @pytest.mark.parametrize("intensity", [0.0, -1.0, math.nan, math.inf])
     def test_curve_at_nonpositive_intensity(self, intensity):

@@ -765,6 +765,56 @@ class TestArrayValidatorMatchesReference:
         assert seen == {"event", "readout", "recurrent"}
 
 
+def joined_calibration(p, delays):
+    """One timeline of the calibration sequences at the given delays, each
+    starting where the previous one ends; every pulse and window is on
+    voxel 0, so one voxel block holds all the pulses."""
+    parts, offset = [], 0.0
+    for t_sweep in delays:
+        seq = build_calibration_sequence(p, float(t_sweep))
+        parts.append((seq, offset))
+        offset += seq.span()
+    return PulseSequence(np.concatenate([s.kind for s, _ in parts]),
+                         np.concatenate([s.start + t for s, t in parts]),
+                         np.concatenate([s.duration for s, _ in parts]),
+                         np.concatenate([s.voxel for s, _ in parts]),
+                         CALIBRATION)
+
+
+class TestContainmentRounds:
+    """Containment is checked in rounds over each voxel block's pulses, so
+    many pulses on one voxel cost time in rounds but no pair arrays."""
+
+    def test_delay_sweep_matches_reference(self):
+        p = make_params()
+        seq = joined_calibration(p, np.linspace(0.0, 60.0, 100))
+        report = validate_sequence(seq, p)
+        assert report == reference_validate(seq, p)
+        assert report.ok
+
+    def test_delay_sweep_memory_is_linear(self):
+        p = make_params()
+        seq = joined_calibration(p, np.linspace(0.0, 60.0, 600))
+        tracemalloc.start()
+        try:
+            report = validate_sequence(seq, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak <= 2 << 20
+
+    def test_window_held_by_none_of_many_pulses(self):
+        p = make_params()
+        rows = [(LASER_CODE, float(k), 0.5, 0) for k in range(200)]
+        rows.append((WINDOW_CODE, 250.0, 1.0, 0))
+        seq = columns_sequence(rows, CALIBRATION)
+        report = validate_sequence(seq, p)
+        assert report == reference_validate(seq, p)
+        assert report.violations == (
+            "readout window (event 200) lies outside every laser pulse for voxel 0",)
+
+
 class TestGoldenTimelines:
     @pytest.mark.parametrize("tag", [*sequence.PROTOCOLS, CALIBRATION])
     def test_default_cycles(self, tag):
