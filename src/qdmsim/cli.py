@@ -213,6 +213,7 @@ def _cmd_simulate(run: _Run, args) -> str:
 
 
 def _cmd_calibrate(run: _Run, args) -> str:
+    run.add_input(f"intensity={args.intensity} mode={args.mode}\n")
     text = _read_text(args.trace, DomainError)
     run.add_input(text)
     intensity = args.intensity if args.intensity is not None \

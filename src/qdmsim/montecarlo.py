@@ -27,6 +27,12 @@ n_trials independent cycles
 
 whose noiseless value is sensitivity.eta_exact.
 
+Both simulators share two input rules, each written once: a count (trials,
+shots per point) is a whole number in [1, 2**53], the largest a float64
+holds exactly (`_check_count`), and every Poisson mean they draw from lies
+in [0, _MAX_PHOTONS_PER_CYCLE], inside numpy's sampler range
+(`_in_poisson_range`).
+
 Determinism contract: trial t belongs to block t // TRIAL_BLOCK.  Each
 block draws from its own PCG64 generator (numpy's named, version-stable
 bit generator) seeded by SeedSequence((master_seed, block)), first the
@@ -38,6 +44,7 @@ and a run's full blocks reappear unchanged in any longer run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,6 +70,26 @@ TRIAL_BLOCK = 1024
 _MAX_PHOTONS_PER_CYCLE = 1e18
 
 
+def _check_count(name: str, value) -> None:
+    """The count rule: a whole number in [1, 2**53] (a trial mean or a bin
+    width turns the count into a float)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
+    if n > 2**53:
+        raise DomainError(f"{name} exceeds 2**53, the largest count a "
+                          "float64 holds exactly")
+
+
+def _in_poisson_range(lam: float) -> bool:
+    """The Poisson-range rule: a mean in [0, _MAX_PHOTONS_PER_CYCLE]; false
+    for NaN."""
+    return 0 <= lam <= _MAX_PHOTONS_PER_CYCLE
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: ProtocolParams
@@ -72,12 +99,7 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise DomainError(f"n_trials must be >= 1, got {self.n_trials}")
-        # the trial mean turns the count into a float
-        if self.n_trials > 2**53:
-            raise DomainError("n_trials exceeds 2**53, the largest count a "
-                              "float64 holds exactly")
+        _check_count("n_trials", self.n_trials)
 
 
 @dataclass(frozen=True)
@@ -133,11 +155,11 @@ def simulate_protocol(cfg: SimConfig, protocol_tag: str,
         n_windows, slot, cfg.params.t1)
     lam_ref = n_windows * mu
     lam_sig = mu * (n_windows - encoded)
-    if not lam_ref <= _MAX_PHOTONS_PER_CYCLE:
+    if not _in_poisson_range(lam_ref):
         raise DomainError(f"{lam_ref:.3g} expected photons per cycle "
                           f"({n_windows} readouts) exceed the Poisson "
                           f"sampler's range")
-    if not 0 <= lam_sig <= _MAX_PHOTONS_PER_CYCLE:
+    if not _in_poisson_range(lam_sig):
         raise DomainError(f"{lam_sig:.3g} expected signal photons per cycle "
                           f"(signal_amplitude {signal_amplitude!r}) lie "
                           f"outside the Poisson sampler's range")
@@ -200,14 +222,18 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise DomainError("sweep_grid must be non-empty, non-negative, "
                           "strictly increasing")
-    if shots_per_point < 1:
-        raise DomainError(f"shots_per_point must be >= 1, got {shots_per_point}")
+    _check_count("shots_per_point", shots_per_point)
     flux = photon_flux(model, intensity)
     sig_rate = flux * (1.0 - contrast_at_delay(model, intensity, grid))
     ref_rate = np.full_like(sig_rate, flux)
     if not noiseless:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         window = shots_per_point * CALIBRATION_BIN_US
+        # the reference mean bounds every signal mean of the trace
+        if not _in_poisson_range(flux * window):
+            raise DomainError(f"{flux * window:.3g} expected photons per point "
+                              f"({shots_per_point} shots) exceed the Poisson "
+                              f"sampler's range")
         sig_rate = rng.poisson(sig_rate * window) / window
         ref_rate = rng.poisson(ref_rate * window) / window
     return CalibrationTrace(intensity, grid, sig_rate, ref_rate)

@@ -137,13 +137,15 @@ class PulseSequence:
         if any(c.shape != kind.shape for c in cols):
             raise DomainError("sequence columns must have equal length")
         kind, start, duration, voxel = cols
-        bad = np.flatnonzero(~(np.isfinite(start) & np.isfinite(duration)
-                               & (start >= 0) & (duration >= 0)))
+        # a finite end implies finite times; it is also the overflow check
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite_end = np.isfinite(start + duration)
+        bad = np.flatnonzero(~(finite_end & (start >= 0) & (duration >= 0)))
         if bad.size:
             i = bad[0]
             raise DomainError(
-                f"event {i} times must be finite and >= 0, got "
-                f"start={float(start[i])}, duration={float(duration[i])}")
+                f"event {i} times must be finite and >= 0 with a finite end, "
+                f"got start={float(start[i])}, duration={float(duration[i])}")
         if (voxel < -1).any():
             raise DomainError(f"voxel indices must be >= 0 (or -1 for none), "
                               f"got {int(voxel.min())}")
@@ -152,8 +154,8 @@ class PulseSequence:
     @classmethod
     def _unchecked(cls, kind, start, duration, voxel, protocol_tag):
         """Sequence from columns that hold every invariant by construction
-        (dtypes, equal lengths, kind range, finite non-negative times, voxel
-        >= -1); how build_cycle makes every cycle."""
+        (dtypes, equal lengths, kind range, finite non-negative times and
+        ends, voxel >= -1); how build_cycle makes every cycle."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "protocol_tag", protocol_tag)
         _freeze(seq, (kind, start, duration, voxel))
@@ -378,25 +380,31 @@ def validate_sequence(seq: PulseSequence, p: ProtocolParams) -> ValidationReport
     for i in (np.flatnonzero(start[1:] < start[:-1] - tol) + 1).tolist():
         violations.append(f"event {i} starts at {float(start[i])} before event {i - 1}")
 
-    # Pulses grouped by voxel, event order kept.  Round r tests each unheld
-    # window against pulse r of its voxel block [first, last] (the last once
-    # the block is used up); a builder cycle, one pulse per voxel, takes one
-    # round.  Windows on a voxel with no pulse (LCQDM, Conventional) pass.
+    # Pulses sorted by (voxel, start).  Step 1 tests each window against the
+    # first pulse of its voxel, which holds every builder window; windows on
+    # a voxel with no pulse (LCQDM, Conventional) pass.  Step 2 merges the
+    # windows left with all pulses in (voxel, start - tol) order, a pulse
+    # first on a tie.  Pulse ranks in (voxel, end) order rise block by block,
+    # so their running maximum at a window is the furthest-ending earlier
+    # pulse of its voxel, or below its block's first rank if there is none.
     pulses = np.flatnonzero(seq.kind == _LASER)
     windows = np.flatnonzero(seq.kind == _WINDOW)
     if pulses.size:
-        pulses = pulses[np.argsort(voxel[pulses], kind="stable")]
+        pulses = pulses[np.lexsort((start[pulses], voxel[pulses]))]
         pulse_voxel, window_voxel = voxel[pulses], voxel[windows]
-        first = np.searchsorted(pulse_voxel, window_voxel, side="left")
-        last = np.searchsorted(pulse_voxel, window_voxel, side="right") - 1
-        unheld = np.flatnonzero(first <= last)
-        for r in range(int((last - first).max(initial=-1)) + 1):
-            if not unheld.size:
-                break
+        first = np.searchsorted(pulse_voxel, window_voxel)
+        q = pulses[np.minimum(first, pulses.size - 1)]
+        unheld = np.flatnonzero((voxel[q] == window_voxel) & (
+            (start[q] - tol > start[windows]) | (end[windows] > end[q] + tol)))
+        if unheld.size:
             w = windows[unheld]
-            q = pulses[np.minimum(first[unheld] + r, last[unheld])]
-            holds = (start[q] - tol <= start[w]) & (end[w] <= end[q] + tol)
-            unheld = unheld[~holds]
+            by_end = np.lexsort((end[pulses], pulse_voxel))
+            rank = np.append(np.argsort(by_end), np.full(w.size, -1))
+            order = np.lexsort((rank < 0, np.append(start[pulses] - tol, start[w]),
+                                np.append(pulse_voxel, voxel[w])))
+            reach = np.maximum.accumulate(rank[order])[np.argsort(order)[pulses.size:]]
+            unheld = unheld[(reach < first[unheld])
+                            | (end[w] > end[pulses[by_end]][reach] + tol)]
         for i in windows[unheld].tolist():
             v = int(voxel[i])
             violations.append(

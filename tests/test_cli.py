@@ -634,7 +634,9 @@ class TestInputDigest:
          "protocol=leibold trials=7"),
         (("simulate", "--protocol", "lcqdm"), "protocol=lcqdm trials=None"),
         (("plan", "--protocol", "conventional"), "protocol=conventional"),
-        (("calibrate", "--trace", "TRACE"), "TRACE"),
+        (("calibrate", "--trace", "TRACE"), "intensity=None mode=averaged\nTRACE"),
+        (("calibrate", "--trace", "TRACE", "--intensity", "2.0", "--mode",
+          "instantaneous"), "intensity=2.0 mode=instantaneous\nTRACE"),
     ])
     def test_digest_per_command(self, tmp_path, model, argv, extra):
         cfg_path = small_config(tmp_path)
@@ -644,7 +646,7 @@ class TestInputDigest:
             model, 1.0, np.linspace(0.0, 12.0, 50), 1, seed=3, noiseless=True))
         trace_path.write_text(trace_text)
         argv = [str(trace_path) if a == "TRACE" else a for a in argv]
-        extra = trace_text if extra == "TRACE" else extra
+        extra = extra.replace("TRACE", trace_text)
         out = tmp_path / "o"
         assert run_cli("--config", str(cfg_path), *argv, "--seed", "11",
                        "--out", str(out)) == 0

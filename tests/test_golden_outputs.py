@@ -9,7 +9,9 @@ has 6400 cycles and whose cycle durations take three distinct values.
 One file was changed on purpose since: simulate_trials.csv used to print
 each eta as repr of a numpy scalar, "np.float64(3.31...)" under numpy 2,
 and now prints the float itself, "3.31...".  Its hashes and those of the
-simulate manifests are the new ones; every other hash is the old one.
+simulate manifests are the new ones.  The calibrate manifests changed too,
+when calibrate's inputs digest took in --intensity and --mode.  Every
+other hash is the old one.
 """
 
 import hashlib
@@ -85,7 +87,7 @@ GOLDEN = {
             "calibrate_report.txt":
                 "7833ed2e803ccbf8743fbef176dd59e14f492c20778a1df2b5514690a19eb6ed",
             "manifest.txt":
-                "efc96d55f10f9ff88c96106ed1d1f126486d2a3cb34a7ad854acae7e5c49b9b2",
+                "e614e79adfac5d8cf755f6f1caf8d55228c844fd939f9fa5f561a06ae865a2c4",
         },
         "eval": {
             "eval_report.txt":
@@ -163,7 +165,7 @@ GOLDEN = {
             "calibrate_report.txt":
                 "aa269521173f26dd618a6a9ece9bb055dcdea78fcae79d7f3bd22a611f8e4dd9",
             "manifest.txt":
-                "de5bb8a0f9cb609bc64df0ca9f06a28f5aef1cb85e70094d0e6ea5f2f466d420",
+                "e05132e99f72c5d10407236faed297258cade71f93d07d50f940e17de46a6db6",
         },
         "eval": {
             "eval_report.txt":

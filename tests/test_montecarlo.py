@@ -8,10 +8,11 @@ from scipy import stats
 import qdmsim.montecarlo
 
 from qdmsim import (CALIBRATION, CONVENTIONAL, DomainError, LCQDM, LEIBOLD,
-                    ProtocolParams, SimConfig, build_cycle, build_leibold_cycle,
-                    contrast_at_delay, end_to_end_pipeline, eta_exact,
-                    eta_paper, extract_init_time, init_time, photon_flux,
-                    readout_time, simulate_calibration, simulate_protocol)
+                    PhotophysicsModel, ProtocolParams, SimConfig, build_cycle,
+                    build_leibold_cycle, contrast_at_delay,
+                    end_to_end_pipeline, eta_exact, eta_paper,
+                    extract_init_time, init_time, photon_flux, readout_time,
+                    simulate_calibration, simulate_protocol)
 from qdmsim.montecarlo import CALIBRATION_BIN_US, TRIAL_BLOCK
 from qdmsim.sensitivity import readout_decay_sum
 from qdmsim.sequence import (EVENT_KINDS, MW_BLOCK, READOUT_WINDOW,
@@ -383,6 +384,32 @@ class TestSimulateCalibration:
         with pytest.raises(DomainError):
             simulate_calibration(model, 1.0, [0.0, 1.0], 0, seed=0)
 
+    # The count rule SimConfig applies to n_trials: these once reached
+    # numpy's sampler and ended in "lam value too large" or a TypeError.
+    @pytest.mark.parametrize("noiseless", [True, False])
+    @pytest.mark.parametrize("shots, match", [
+        (math.nan, "whole number, got nan"), (math.inf, "whole number, got inf"),
+        (2.5, "whole number, got 2.5"), (0, "shots_per_point must be >= 1"),
+        (10**18, r"shots_per_point exceeds 2\*\*53")])
+    def test_shot_count_rule(self, model, noiseless, shots, match):
+        with pytest.raises(DomainError, match=match):
+            simulate_calibration(model, 1.0, [0.0, 1.0], shots, seed=0,
+                                 noiseless=noiseless)
+
+    def test_largest_shot_count_accepted(self, model):
+        trace = simulate_calibration(model, 1.0, [0.0, 1.0], np.int64(2**53),
+                                     seed=0)
+        assert np.all(np.isfinite(trace.ref_pl))
+
+    def test_photons_per_point_beyond_sampler_range(self):
+        # 2**53 shots at about 5e5 counts/us is 4.5e21 expected photons
+        model = PhotophysicsModel(r_max=1e6)
+        with pytest.raises(DomainError, match="Poisson sampler's range"):
+            simulate_calibration(model, 1.0, [0.0, 1.0], 2**53, seed=0)
+        noiseless = simulate_calibration(model, 1.0, [0.0, 1.0], 2**53,
+                                         seed=0, noiseless=True)
+        assert noiseless.ref_pl[0] == photon_flux(model, 1.0)
+
     @pytest.mark.parametrize("noiseless", [True, False])
     def test_nan_delay_rejected(self, model, noiseless):
         # nan slips past the ordering checks, so the decay refuses it
@@ -447,6 +474,21 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimConfig(params=params_at(model, 1.0), model=model, i_conf=1.0,
                       n_trials=0, master_seed=0)
+
+    @pytest.mark.parametrize("n_trials, match", [
+        (2.5, "n_trials must be a whole number, got 2.5"),
+        (math.nan, "n_trials must be a whole number, got nan"),
+        (math.inf, "n_trials must be a whole number, got inf"),
+        (-3, "n_trials must be >= 1, got -3"),
+        (2**53 + 1, r"n_trials exceeds 2\*\*53")])
+    def test_trial_count_rule(self, model, n_trials, match):
+        # 2.5 and nan were accepted and ended in numpy's TypeError
+        with pytest.raises(DomainError, match=match):
+            sim_config(model, 1.0, n_trials)
+
+    def test_largest_trial_count_accepted(self, model):
+        assert sim_config(model, 1.0, 2**53).n_trials == 2**53
+        assert sim_config(model, 1.0, np.int64(7)).n_trials == 7
 
     @pytest.mark.parametrize("noiseless", [False, True])
     def test_zero_readout_intensity(self, model, noiseless):

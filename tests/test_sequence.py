@@ -408,6 +408,18 @@ class TestInputHygiene:
             PulseSequence(np.array([2], np.int8), [start], [duration], [-1],
                           LCQDM)
 
+    @pytest.mark.parametrize("start, duration, i", [
+        ([1e308, 0.0, 1.0], [1e308, 1.0, 1.0], 0),
+        ([0.0, 1.7e308, 1.0], [1.0, 1.7e308, 1.0], 1)])
+    def test_overflowing_end_rejected(self, start, duration, i):
+        # such an end made span() inf with an overflow warning, and with it
+        # the validator's tolerance, so events out of order passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"event {i} .* finite end"):
+                PulseSequence(np.array([1, 3, 1], np.int8), start, duration,
+                              [0, 0, 0], CALIBRATION)
+
     @pytest.mark.parametrize("columns", [
         ([5], [0.0], [1.0], [-1]),          # kind code past EVENT_KINDS
         ([-1], [0.0], [1.0], [-1]),
@@ -781,9 +793,42 @@ def joined_calibration(p, delays):
                          CALIBRATION)
 
 
+# Every drawn timeline spans [0, SPAN], which fixes the validator's tolerance.
+SPAN = 100.0
+DEAD_CODE = EVENT_KINDS.index(DEAD_TIME)
+pulse_starts = st.sampled_from((1.0, 2.0, 5.0, 10.0)) | st.floats(1.0, 60.0)
+pulse_lengths = st.sampled_from((1.0, 2.0, 5.0, 10.0)) | st.floats(0.0, 35.0)
+
+
+@st.composite
+def multi_pulse_timelines(draw):
+    """Several pulses per voxel, overlapping or nested, and windows that are
+    drawn freely or placed on a pulse's start - tol or end + tol, one ulp
+    either side or on it; events sorted by start or left as drawn."""
+    tol = 1e-9 * SPAN
+    pulses = draw(st.lists(st.tuples(pulse_starts, pulse_lengths,
+                                     st.integers(-1, 2)), min_size=1, max_size=12))
+    rows = [(DEAD_CODE, 0.0, SPAN, -1)]
+    rows += [(LASER_CODE, s, d, v) for s, d, v in pulses]
+    for _ in range(draw(st.integers(1, 10))):
+        ps, pd, v = draw(st.sampled_from(pulses))
+        start = draw(st.sampled_from((ps - tol, ps))
+                     | st.floats(0.0, 70.0) | st.just(ps + pd))
+        start = nudged(start, draw(st.integers(-1, 1)))
+        end_at = draw(st.sampled_from((ps + pd + tol, ps + pd))
+                      | st.floats(start, min(SPAN, start + 25.0)))
+        duration = nudged(max(0.0, end_at - start), draw(st.integers(-1, 1)))
+        rows.append((WINDOW_CODE, start, duration,
+                     draw(st.sampled_from((v, v, 0, -1)))))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[1])
+    return rows
+
+
 class TestContainmentRounds:
-    """Containment is checked in rounds over each voxel block's pulses, so
-    many pulses on one voxel cost time in rounds but no pair arrays."""
+    """Containment is checked without rounds: each window against the first
+    pulse of its voxel, then the windows left in one sorted pass over all
+    pulses, so many pulses on one voxel cost neither rounds nor pair arrays."""
 
     def test_delay_sweep_matches_reference(self):
         p = make_params()
@@ -813,6 +858,26 @@ class TestContainmentRounds:
         assert report == reference_validate(seq, p)
         assert report.violations == (
             "readout window (event 200) lies outside every laser pulse for voxel 0",)
+
+    def test_window_outside_twenty_thousand_pulses(self):
+        # one round per pulse of the block once took about 0.1 s here
+        p = make_params()
+        rows = [(LASER_CODE, float(k), 0.5, 0) for k in range(20000)]
+        rows.append((WINDOW_CODE, 30000.0, 1.0, 0))
+        seq = columns_sequence(rows, CALIBRATION)
+        report = validate_sequence(seq, p)
+        assert report == reference_validate(seq, p)
+        assert report.violations == (
+            "readout window (event 20000) lies outside every laser pulse "
+            "for voxel 0",)
+
+    @given(multi_pulse_timelines(),
+           st.sampled_from((*sequence.PROTOCOLS, CALIBRATION)))
+    @settings(max_examples=400, deadline=None)
+    def test_multi_pulse_timelines(self, rows, tag):
+        p = make_params(t1=30.0)
+        seq = columns_sequence(rows, tag)
+        assert validate_sequence(seq, p) == reference_validate(seq, p)
 
 
 class TestGoldenTimelines:
