@@ -19,8 +19,8 @@ into the log-log quadratic curves used by the photophysics model.
 
 trace_to_csv prints each value as Python's repr of the float (the
 shortest text that reads back to the same double), so read_trace_csv
-recovers the trace bit for bit.  Each distinct value is formatted once,
-and the text is byte for byte that of a row-by-row loop.
+recovers the trace bit for bit.  It goes through _csv.csv_text, whose
+text is byte for byte that of a row-by-row loop.
 
 read_trace_csv's contract: lines are split as str.splitlines splits them
 (CRLF, form feed and U+2028 included) and stripped; blank lines are
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import column_text, csv_text
+from ._csv import csv_text
 from .errors import DomainError, ExtractionError
 from .photophysics import LogQuadraticCurve
 
@@ -231,5 +231,4 @@ def _first_bad_row(text: str) -> DomainError:
 
 def trace_to_csv(trace: CalibrationTrace) -> str:
     """The trace as CSV text that read_trace_csv reads back exactly."""
-    return csv_text(TRACE_CSV_HEADER, map(
-        column_text, (trace.t_sweep, trace.sig_pl, trace.ref_pl)))
+    return csv_text(TRACE_CSV_HEADER, [trace.t_sweep, trace.sig_pl, trace.ref_pl])

@@ -28,8 +28,10 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
-from ._csv import column_text, csv_text
+from ._csv import csv_text
 from .config import RunConfig, default_config_text, parse_config
 from .calibration import extract_times, read_trace_csv
 from .errors import ConfigError, DomainError
@@ -208,7 +210,7 @@ def _cmd_simulate(run: _Run, args) -> str:
     run.add("simulate_report.txt", report)
     if trial_etas is not None:
         run.add("simulate_trials.csv", csv_text("trial,eta", [
-            map(str, range(len(trial_etas))), column_text(trial_etas)]))
+            np.arange(len(trial_etas)), np.array(trial_etas, dtype=float)]))
     return report
 
 

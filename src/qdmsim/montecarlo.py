@@ -27,10 +27,11 @@ n_trials independent cycles
 
 whose noiseless value is sensitivity.eta_exact.
 
-Both simulators share two input rules, each written once: a count (trials,
-shots per point) is a whole number in [1, 2**53], the largest a float64
-holds exactly (`_check_count`), and every Poisson mean they draw from lies
-in [0, _MAX_PHOTONS_PER_CYCLE], inside numpy's sampler range
+Both simulators share three input rules, each written once: a count
+(trials, shots per point) is a whole number in [1, 2**53], the largest a
+float64 holds exactly (`_check_count`); a seed is a whole number >= 0, as
+SeedSequence takes it (`_check_seed`); and every Poisson mean they draw
+from lies in [0, _MAX_PHOTONS_PER_CYCLE], inside numpy's sampler range
 (`_in_poisson_range`).
 
 Determinism contract: trial t belongs to block t // TRIAL_BLOCK.  Each
@@ -84,6 +85,16 @@ def _check_count(name: str, value) -> None:
                           "float64 holds exactly")
 
 
+def _check_seed(name: str, value) -> None:
+    """The seed rule: a whole number >= 0, as SeedSequence takes it."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+    if n < 0:
+        raise DomainError(f"{name} must be >= 0, got {n}")
+
+
 def _in_poisson_range(lam: float) -> bool:
     """The Poisson-range rule: a mean in [0, _MAX_PHOTONS_PER_CYCLE]; false
     for NaN."""
@@ -100,6 +111,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_count("n_trials", self.n_trials)
+        _check_seed("master_seed", self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -223,6 +235,7 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
         raise DomainError("sweep_grid must be non-empty, non-negative, "
                           "strictly increasing")
     _check_count("shots_per_point", shots_per_point)
+    _check_seed("seed", seed)
     flux = photon_flux(model, intensity)
     sig_rate = flux * (1.0 - contrast_at_delay(model, intensity, grid))
     ref_rate = np.full_like(sig_rate, flux)
@@ -258,6 +271,7 @@ def end_to_end_pipeline(model: PhotophysicsModel, intensities: Sequence[float],
     """
     if len(intensities) != len(sweep_grids):
         raise DomainError("need one sweep grid per intensity")
+    _check_seed("master_seed", master_seed)
     samples = []
     for k, (intensity, grid) in enumerate(zip(intensities, sweep_grids)):
         seed = int(np.random.SeedSequence((master_seed, k)).generate_state(1)[0])

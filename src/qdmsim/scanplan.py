@@ -15,10 +15,10 @@ rf_for_voxel gives one voxel's drive frequencies.
 
 The CSV writers print each float as Python's repr of it (the shortest
 text that reads back to the same double) and each integer in decimal,
-byte for byte what a row loop doing the same per value writes.  The RF
-table formats each axis once and lays the texts out in raster order;
-the cycle columns that rise strictly are printed directly, and only the
-cycle durations, which repeat, go through column_text.
+byte for byte what a row loop doing the same per value writes; both go
+through _csv.csv_text.  The RF table's columns are axes, each formatted
+once and laid out in raster order; the cycle columns are formatted block
+by block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._csv import column_text, csv_text
+from ._csv import Axis, csv_text
 from .errors import DomainError
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, ProtocolParams,
                        cycle_layout)
@@ -181,37 +181,19 @@ class ScanPlan:
     def cycles_csv(self) -> str:
         c = self.cycles
         return csv_text(CYCLES_CSV_HEADER, [
-            map(str, range(len(c))),
-            # these rise with the cycle, so no text would be shared; repr
-            # per value is byte-correct either way
-            *(map(repr, col.tolist()) for col in (c.voxel_start, c.voxel_end, c.start)),
-            column_text(c.duration)])
+            np.arange(len(c)), c.voxel_start, c.voxel_end, c.start, c.duration])
 
     def rf_csv(self, cal: AOMCalibration) -> str:
         g = self.grid
         cal.check_grid(g)
         ix, iy = np.arange(g.nx), np.arange(g.ny)
 
-        # Each column depends on one axis index: format its values once, then
-        # lay them out over a z plane, x texts tiled once per row and each y
-        # text repeated along its row.
-        def along_x(values):
-            return list(map(repr, values.tolist())) * g.ny
-
-        def along_y(values):
-            texts = np.array(list(map(repr, values.tolist())), dtype=object)
-            return np.repeat(texts, g.nx).tolist()
-
-        head = map(",".join, zip(along_x(ix), along_y(iy)))
-        tail = map(",".join, zip(along_x(cal.scan_x.drive(ix, g.pitch)),
-                                 along_y(cal.scan_y.drive(iy, g.pitch)),
-                                 along_x(cal.descan_x.drive(ix, g.pitch)),
-                                 along_y(cal.descan_y.drive(iy, g.pitch))))
-        plane = list(zip(head, tail))
-        lines = [RF_CSV_HEADER]
-        for iz in range(g.nz):
-            lines += map(f",{iz},".join, plane)
-        return "\n".join(lines) + "\n"
+        # each column depends on one axis index: x varies fastest, then y,
+        # then z
+        return csv_text(RF_CSV_HEADER, [
+            Axis(ix), Axis(iy, g.nx), Axis(np.arange(g.nz), g.nx * g.ny),
+            Axis(cal.scan_x.drive(ix, g.pitch)), Axis(cal.scan_y.drive(iy, g.pitch), g.nx),
+            Axis(cal.descan_x.drive(ix, g.pitch)), Axis(cal.descan_y.drive(iy, g.pitch), g.nx)])
 
 
 def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,

@@ -27,10 +27,9 @@ deriving the laser timescales from a photophysics model, which reproduces
 the characteristic comparison maps of the protocols.  SensitivityGrid.to_csv
 prints each float as Python's str of it, which equals its repr (the
 shortest text that reads back to the same double): nan for invalid cells,
-and 1 or 0 in the valid column.  The two axes are formatted once per grid
-value by construction, their texts tiled and repeated over the cells, and
-each cell value is formatted directly; the text is byte for byte that of
-a cell-by-cell loop.
+and 1 or 0 in the valid column.  It goes through _csv.csv_text: the two
+axes are formatted once per grid value and the cells block by block; the
+text is byte for byte that of a cell-by-cell loop.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._csv import csv_text
+from ._csv import Axis, csv_text
 from .errors import DomainError, OutOfRangeError
 from .photophysics import PhotophysicsModel, init_time, readout_time
 from .sequence import PROTOCOLS, ProtocolParams, _cycle, cycle_layout
@@ -199,17 +198,14 @@ class SensitivityGrid:
         return int(self.valid.sum())
 
     def to_csv(self) -> str:
-        n_t, n_i = self.eta_lcqdm.shape
-        # the intensity varies fastest: its texts tile once per row, and each
-        # t_mw text repeats along its row
-        i_conf = list(map(repr, map(float, self.spec.i_conf_grid))) * n_t
-        t_mw = np.repeat(np.array(list(map(repr, map(float, self.spec.t_mw_grid))),
-                                  dtype=object), n_i).tolist()
-        cells = (map(repr, a.ravel().tolist()) for a in (
-            self.eta_lcqdm, self.eta_leibold, self.eta_conventional,
-            self.ratio_leibold_over_lc, self.ratio_conv_over_lc))
-        valid = map(("0", "1").__getitem__, self.valid.ravel().tolist())
-        return csv_text(CSV_HEADER, [i_conf, t_mw, *cells, valid])
+        n_i = len(self.spec.i_conf_grid)
+        # the intensity varies fastest, each t_mw holds along its row
+        return csv_text(CSV_HEADER, [
+            Axis(np.asarray(self.spec.i_conf_grid, dtype=float)),
+            Axis(np.asarray(self.spec.t_mw_grid, dtype=float), n_i),
+            *(a.ravel() for a in (self.eta_lcqdm, self.eta_leibold, self.eta_conventional,
+                                  self.ratio_leibold_over_lc, self.ratio_conv_over_lc)),
+            self.valid.ravel()])
 
     def to_pgm(self, which: str = "conv_lc") -> str:
         """ASCII portable graymap (P2) of log10 of a ratio map.

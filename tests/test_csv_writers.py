@@ -8,11 +8,17 @@ calibration.  The writers must return the same text, byte for byte,
 on seeded configs and on random grids that cover invalid sweep columns
 (nan cells), a 1 x 1 x 1 grid, nz = 1, nx != ny, negative AOM slopes and
 plans with focus steps (t_z_step).
+
+The table builder's float kernel is held to repr itself: on edge values,
+on hypothesis draws of floats and of raw 64-bit patterns, and on a seeded
+set of over a million values from the families where a shortest-digit
+search can slip.  A tracemalloc test bounds each writer's peak.
 """
 
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ from qdmsim import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, CalibrationTrace,
                     PhotophysicsModel, SimConfig, default_config, init_time,
                     plan_acquisition, simulate_calibration, simulate_protocol,
                     rf_for_voxel, sweep, trace_to_csv)
-from qdmsim._csv import column_text, csv_text
+from qdmsim._csv import Axis, csv_text
 from qdmsim.cli import main
 from qdmsim.sensitivity import CSV_HEADER
 
@@ -77,16 +83,57 @@ def reference_trials_csv(trial_etas):
     return "\n".join(lines) + "\n"
 
 
-# -- the helper ---------------------------------------------------------------
+# -- the table builder --------------------------------------------------------
+
+def column_text(values):
+    """The texts csv_text writes for one column, as a list."""
+    return csv_text("v", [np.asarray(values)]).split("\n")[1:-1]
+
 
 def _nan_with_payload(payload):
     return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
 
 
+#: A decimal tie: the two nearest 17-digit texts, ...973.2 and ...973.3,
+#: are equally far from the double, and repr takes the even one.
+TIE = 1502805014714973.25
+
 EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, _nan_with_payload(12345),
                math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e16, 9999999999999998.0, 1e-5, 0.0001, 1e22, 0.1, 1 / 3,
-               -2.5, 1.7976931348623157e308]
+               -2.5, 1.7976931348623157e308, TIE, -TIE, 1502805014714973.75,
+               1.0, 2.0, 0.5, 2.0**-14, 2.0**52, -(2.0**40), 1024.0]
+
+
+def uncertified(x):
+    """The values the kernel leaves to repr for a reason it can name: not
+    finite, zero, outside repr's positional range [1e-4, 1e16), or with a
+    power-of-two mantissa.  Near-ties come on top of these."""
+    a = np.abs(x)
+    mantissa = x.view(np.uint64) & np.uint64(2**52 - 1)
+    return ~((a >= 1e-4) & (a < 1e16)) | (mantissa == 0)
+
+
+def edge_family_values(seed, n):
+    """About n seeded values from the families where a shortest-digit
+    search can slip: short decimals m * 10**k and the doubles 1 and 2 ulp
+    either side of them, binary fractions at the top of the positional
+    range (decimal ties among them), sums, grids and random bit patterns."""
+    rng = np.random.default_rng([20261019, seed])
+    k = n // 8
+    digits = rng.integers(1, 18, k)
+    m = np.floor(10.0 ** (digits - 1) * (1 + 9 * rng.random(k)))
+    short = m * 10.0 ** rng.integers(-22, 2, k).astype(float)
+    short = short[(short > 0) & np.isfinite(short)]
+    near = [np.nextafter(short, sign * np.inf) for sign in (1, -1)]
+    near += [np.nextafter(v, sign * np.inf) for v, sign in zip(near, (1, -1))]
+    binade = rng.integers(40, 54, k)
+    top = np.ldexp(1.0 + rng.random(k), binade - 1)
+    top = np.floor(top) + rng.integers(0, 64, k) * np.ldexp(1.0, binade - 53)
+    return np.concatenate([
+        short, *near, top, -top,
+        np.cumsum(rng.random(k)), np.arange(k) / 1e5, np.linspace(0.0, 1.0, k),
+        rng.integers(0, 2**64, k, dtype=np.uint64).view(np.float64)])
 
 
 class TestColumnText:
@@ -118,15 +165,25 @@ class TestColumnText:
         assert column_text(np.array([3, -1, 3, 0, 2**40])) == [
             "3", "-1", "3", "0", "1099511627776"]
         assert column_text(np.array([0, 1, 1, 0])) == ["0", "1", "1", "0"]
+        assert column_text(np.array([True, False])) == ["1", "0"]
+        extremes = np.array([-2**63, 2**63 - 1, -9999, 10000, -10**15])
+        assert column_text(extremes) == [str(v) for v in extremes.tolist()]
         assert column_text([1.5, np.float64(1.5), math.inf]) == [
             "1.5", "1.5", "inf"]
         assert column_text(np.array([], dtype=float)) == []
 
-    def test_two_dimensional_is_raveled_in_row_order(self):
-        col = np.array([[1.0, 2.0], [2.0, 3.0]])
-        assert column_text(col) == ["1.0", "2.0", "2.0", "3.0"]
+    def test_axis_rows_repeat_and_wrap(self):
+        text = csv_text("a,b,c", [Axis(np.array([1.5, -2.0])),
+                                  Axis(np.array([7, 8, 9]), 2),
+                                  np.arange(7)])
+        assert text.splitlines()[1:] == [
+            "1.5,7,0", "-2.0,7,1", "1.5,8,2", "-2.0,8,3", "1.5,9,4", "-2.0,9,5",
+            "1.5,7,6"]
+        # a table of axes alone has one row per period of the slowest
+        assert csv_text("a,b", [Axis(np.arange(2)), Axis(np.array([0.25]), 2)]
+                        ).splitlines()[1:] == ["0,0.25", "1,0.25"]
 
-    def test_each_distinct_value_formatted_once(self, monkeypatch):
+    def test_repr_only_for_uncertified_values(self, monkeypatch):
         calls = []
 
         def counting_repr(value):
@@ -134,9 +191,17 @@ class TestColumnText:
             return repr(value)
 
         monkeypatch.setattr(qdmsim._csv, "repr", counting_repr, raising=False)
-        col = np.tile(80.0 + 0.1 * np.arange(40), 160)
+        rng = np.random.default_rng(3)
+        col = np.concatenate([np.tile(80.0 + 0.1 * np.arange(40), 160),
+                              rng.random(2000) * 1e3, EDGE_VALUES])
         assert column_text(col) == [repr(v) for v in col.tolist()]
-        assert len(calls) == 40
+        # one call per uncertified value, in order.  The near-ties here are
+        # the decimal ties and 9999999999999998.0, whose rounding interval
+        # ends on integers.
+        near_ties = np.isin(np.abs(col), [TIE, 1502805014714973.75, 9999999999999998.0])
+        want = col[uncertified(col) | near_ties]
+        assert np.array_equal(np.array(calls), want, equal_nan=True)
+        assert len(calls) == len(EDGE_VALUES) - 4  # 0.0001, 0.1, 1/3, -2.5 pass
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES),
@@ -147,13 +212,52 @@ class TestColumnText:
         col = np.array(values * repeat, dtype=float)
         assert column_text(col) == [repr(v) for v in col.tolist()]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+    def test_matches_repr_on_bit_patterns(self, patterns):
+        col = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert column_text(col) == [repr(v) for v in col.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1, max_size=60))
+    def test_matches_repr_in_positional_range(self, values):
+        col = np.array(values)
+        assert column_text(col) == [repr(v) for v in col.tolist()]
+
+    def test_edge_families(self):
+        col = edge_family_values(0, 750_000)
+        assert len(col) >= 10**6
+        assert column_text(col) == [repr(v) for v in col.tolist()]
+
 
 class TestCsvText:
     def test_no_rows_is_header_line(self):
-        assert csv_text("a,b", [[], []]) == "a,b\n"
+        assert csv_text("a,b", [np.array([]), np.array([], dtype=int)]) == "a,b\n"
 
     def test_rows_joined_column_wise(self):
-        assert csv_text("a,b", [["1", "2"], iter(["x", "y"])]) == "a,b\n1,x\n2,y\n"
+        assert csv_text("a,b", [np.array([1, 2]), np.array([0.5, -3.0])]) == (
+            "a,b\n1,0.5\n2,-3.0\n")
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        col = np.cumsum(np.random.default_rng(2).random(1000))
+        want = csv_text("i,x", [np.arange(1000), col])
+        monkeypatch.setattr(qdmsim._csv, "BLOCK_VALUES", 7)
+        assert csv_text("i,x", [np.arange(1000), col]) == want
+        assert want.splitlines()[1:] == [f"{i},{v!r}" for i, v in enumerate(col.tolist())]
+
+    @pytest.mark.parametrize("block_values", [7, 60])
+    def test_axis_blocks_join_seamlessly(self, monkeypatch, block_values):
+        """Blocks of one row, and of 8 (RF table) or 7 (sweep) rows, which
+        start inside the periods of a 7 x 5 x 3 grid's axes and of a 6 x 4
+        sweep's: both writers still match their row loops."""
+        monkeypatch.setattr(qdmsim._csv, "BLOCK_VALUES", block_values)
+        cfg = dataclasses.replace(default_config(), grid_nx=7, grid_ny=5, grid_nz=3,
+                                  sweep_points_i=6, sweep_points_t=4)
+        grid, cal = cfg.voxel_grid(), cfg.aom_calibration()
+        plan = plan_acquisition(grid, cfg.protocol_params(), CONVENTIONAL)
+        assert plan.rf_csv(cal) == reference_rf_csv(grid, cal)
+        sweep_grid = sweep(cfg.sweep_spec())
+        assert sweep_grid.to_csv() == reference_to_csv(sweep_grid)
 
 
 # -- the writers on seeded configs ------------------------------------------
@@ -297,3 +401,27 @@ def test_trials_csv_matches_row_loop(tmp_path, tag):
     text = (out / "simulate_trials.csv").read_text()
     assert text == reference_trials_csv(etas)
     assert "np." not in text
+
+
+@pytest.mark.parametrize("writer", ["to_csv", "cycles_csv", "rf_csv"])
+def test_writer_peak_within_three_times_its_text(writer):
+    """The default 61 x 61 sweep and 100 x 100 conventional plan: a writer's
+    traced allocation peak stays within 3x the text it returns, so the
+    byte matrices are built block by block."""
+    cfg = default_config()
+    if writer == "to_csv":
+        write = sweep(cfg.sweep_spec()).to_csv
+    else:
+        plan = plan_acquisition(cfg.voxel_grid(), cfg.protocol_params(), CONVENTIONAL)
+        write = (plan.cycles_csv if writer == "cycles_csv"
+                 else lambda: plan.rf_csv(cfg.aom_calibration()))
+    write()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = write()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10**5
+    assert peak <= 3 * len(text)

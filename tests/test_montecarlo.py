@@ -490,6 +490,36 @@ class TestConfigValidation:
         assert sim_config(model, 1.0, 2**53).n_trials == 2**53
         assert sim_config(model, 1.0, np.int64(7)).n_trials == 7
 
+    # The seed rule: these ended in numpy's "expected non-negative integer"
+    # ValueError or a TypeError from SeedSequence.
+    SEED_CASES = [(-1, "must be >= 0, got -1"), (1.5, "must be a whole number, got 1.5"),
+                  (math.nan, "must be a whole number, got nan"),
+                  ("3", "must be a whole number, got .3.")]
+
+    @pytest.mark.parametrize("seed, match", SEED_CASES)
+    def test_master_seed_rule(self, model, seed, match):
+        with pytest.raises(DomainError, match="master_seed " + match):
+            sim_config(model, 1.0, 10, seed=seed)
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    @pytest.mark.parametrize("seed, match", SEED_CASES)
+    def test_calibration_seed_rule(self, model, noiseless, seed, match):
+        with pytest.raises(DomainError, match="seed " + match):
+            simulate_calibration(model, 1.0, [0.0, 1.0], 64, seed=seed,
+                                 noiseless=noiseless)
+
+    @pytest.mark.parametrize("seed, match", SEED_CASES)
+    def test_pipeline_seed_rule(self, model, seed, match):
+        with pytest.raises(DomainError, match="master_seed " + match):
+            end_to_end_pipeline(model, [0.5, 1.0, 2.0], [np.linspace(0, 5, 10)] * 3,
+                                64, seed, noiseless=True)
+
+    def test_seed_edges_accepted(self, model):
+        assert sim_config(model, 1.0, 10, seed=0).master_seed == 0
+        assert sim_config(model, 1.0, 10, seed=np.int64(2**63 - 1)).master_seed == 2**63 - 1
+        trace = simulate_calibration(model, 1.0, [0.0, 1.0], 64, seed=2**70)
+        assert np.all(trace.ref_pl > 0)
+
     @pytest.mark.parametrize("noiseless", [False, True])
     def test_zero_readout_intensity(self, model, noiseless):
         cfg = SimConfig(params=params_at(model, 1.0), model=model, i_conf=0.0,
