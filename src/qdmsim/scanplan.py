@@ -9,9 +9,10 @@ Beam pointing is an affine map per axis: each scan/descan AOM channel
 drives at f0 + slope * coordinate_um.  Descan slopes are typically
 opposite in sign so the collected PL stays on the fixed pinhole; the map
 is exactly invertible either way.  The map is separable: the x channels
-depend on ix alone and the y channels on iy alone.  The RF table depends
-on the grid and a calibration; rf_csv(cal) checks and formats it, and
-rf_for_voxel gives one voxel's drive frequencies.
+depend on ix alone and the y channels on iy alone.  AOMCalibration.drives
+computes the four drive frequencies at x and y indices and refuses a
+non-positive one; rf_csv(cal) formats the whole table from it, each axis
+once, and rf_for_voxel gives one voxel's, so both refuse the same drives.
 
 The CSV writers print each float as Python's repr of it (the shortest
 text that reads back to the same double) and each integer in decimal,
@@ -90,7 +91,7 @@ class AOMAxis:
 
     def drive(self, index, pitch: float):
         """Frequency in MHz at a lattice index (an int or an integer array)
-        along this axis; every drive frequency is computed here."""
+        along this axis; AOMCalibration.drives checks it."""
         return self.f0 + self.slope * (index * pitch)
 
 
@@ -101,19 +102,20 @@ class AOMCalibration:
     descan_x: AOMAxis
     descan_y: AOMAxis
 
-    def check_grid(self, grid: VoxelGrid) -> None:
-        """Every drive frequency must stay positive across the grid."""
-        for name, axis, extent in (("scan_x", self.scan_x, grid.nx),
-                                   ("scan_y", self.scan_y, grid.ny),
-                                   ("descan_x", self.descan_x, grid.nx),
-                                   ("descan_y", self.descan_y, grid.ny)):
-            # drive is monotone in the index and positive at index 0, so
-            # only the far end can be non-positive
-            worst = axis.drive(extent - 1, grid.pitch)
+    def drives(self, ix, iy, pitch: float) -> tuple:
+        """Drive frequencies (f_sx, f_sy, f_dx, f_dy) in MHz at x and y
+        lattice indices (ints or integer arrays).  Every drive must be
+        positive; the first channel that is not, in that order, is a
+        DomainError."""
+        freqs = (self.scan_x.drive(ix, pitch), self.scan_y.drive(iy, pitch),
+                 self.descan_x.drive(ix, pitch), self.descan_y.drive(iy, pitch))
+        for name, f in zip(("scan_x", "scan_y", "descan_x", "descan_y"), freqs):
+            worst = np.min(f)
             if worst <= 0:
                 raise DomainError(
                     f"AOM channel {name} drives a non-positive frequency "
                     f"({worst:.4g} MHz) inside the grid")
+        return freqs
 
 
 def rf_for_voxel(voxel: tuple[int, int, int], grid: VoxelGrid,
@@ -122,8 +124,7 @@ def rf_for_voxel(voxel: tuple[int, int, int], grid: VoxelGrid,
     ix, iy, iz = voxel
     if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 <= iz < grid.nz):
         raise IndexError(f"voxel {voxel} outside grid")
-    return (cal.scan_x.drive(ix, grid.pitch), cal.scan_y.drive(iy, grid.pitch),
-            cal.descan_x.drive(ix, grid.pitch), cal.descan_y.drive(iy, grid.pitch))
+    return cal.drives(ix, iy, grid.pitch)
 
 
 # Largest distance, in lattice steps, of an inverted frequency from a voxel.
@@ -141,10 +142,14 @@ def voxel_for_rf(freqs: tuple[float, float, float, float], grid: VoxelGrid,
                  cal: AOMCalibration, iz: int = 0) -> tuple[int, int, int]:
     """Invert rf_for_voxel.
 
-    Raises DomainError when a frequency lies off the voxel lattice or the
-    descan channels point at another voxel than the scan channels, and
-    IndexError when the voxel lies outside the grid.
+    Raises DomainError when iz is not an integer, a frequency lies off the
+    voxel lattice or the descan channels point at another voxel than the
+    scan channels, and IndexError when the voxel lies outside the grid.
     """
+    try:
+        iz = operator.index(iz)
+    except TypeError:
+        raise DomainError(f"iz must be an integer, got {iz!r}") from None
     f_sx, f_sy, f_dx, f_dy = freqs
     ix = _lattice_index(f_sx, cal.scan_x, grid.pitch, "scan_x")
     iy = _lattice_index(f_sy, cal.scan_y, grid.pitch, "scan_y")
@@ -169,8 +174,8 @@ class ScanPlan:
     cycles is a record array with one row per cycle in scan order:
     voxel_start, voxel_end (flat voxel indices, inclusive), start and
     duration (us).  The RF table depends on the grid and a calibration;
-    rf_csv(cal) checks and formats it, each axis once, and rf_for_voxel
-    gives any one voxel's frequencies.
+    rf_csv(cal) formats it from AOMCalibration.drives, each axis once, and
+    rf_for_voxel gives any one voxel's frequencies.
     """
 
     protocol_tag: str
@@ -185,15 +190,14 @@ class ScanPlan:
 
     def rf_csv(self, cal: AOMCalibration) -> str:
         g = self.grid
-        cal.check_grid(g)
         ix, iy = np.arange(g.nx), np.arange(g.ny)
+        f_sx, f_sy, f_dx, f_dy = cal.drives(ix, iy, g.pitch)
 
         # each column depends on one axis index: x varies fastest, then y,
         # then z
         return csv_text(RF_CSV_HEADER, [
             Axis(ix), Axis(iy, g.nx), Axis(np.arange(g.nz), g.nx * g.ny),
-            Axis(cal.scan_x.drive(ix, g.pitch)), Axis(cal.scan_y.drive(iy, g.pitch), g.nx),
-            Axis(cal.descan_x.drive(ix, g.pitch)), Axis(cal.descan_y.drive(iy, g.pitch), g.nx)])
+            Axis(f_sx), Axis(f_sy, g.nx), Axis(f_dx), Axis(f_dy, g.nx)])
 
 
 def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,

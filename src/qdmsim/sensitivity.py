@@ -35,6 +35,7 @@ text is byte for byte that of a cell-by-cell loop.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -164,6 +165,10 @@ def _require_increasing(name: str, grid: tuple[float, ...]) -> None:
 
 def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     """n log-spaced points from lo to hi inclusive."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"log_grid n must be an integer, got {n!r}") from None
     if not (0 < lo < hi < math.inf) or n < 1:
         raise DomainError(f"bad grid request lo={lo}, hi={hi}, n={n}")
     if n == 1:

@@ -113,7 +113,7 @@ class SequenceEvent:
 class PulseSequence:
     """An event timeline as four equal-length columns in event order.
 
-    The sequence takes the column arrays over and makes them read-only.
+    The sequence holds read-only copies of the columns it is given.
     """
 
     kind: np.ndarray      # int8 code indexing EVENT_KINDS
@@ -125,15 +125,14 @@ class PulseSequence:
     def __post_init__(self):
         if self.protocol_tag not in (*PROTOCOLS, CALIBRATION):
             raise DomainError(f"unknown protocol tag {self.protocol_tag!r}")
-        kind = np.asarray(self.kind)
-        if kind.ndim != 1 or kind.dtype.kind not in "iu":
-            raise DomainError("event kinds must be a 1-D integer column")
+        kind, voxel = np.asarray(self.kind), np.asarray(self.voxel)
+        for col, what in ((kind, "event kinds"), (voxel, "voxel indices")):
+            if col.ndim != 1 or col.dtype.kind not in "iu":
+                raise DomainError(f"{what} must be a 1-D integer column")
         if ((kind < 0) | (kind >= len(EVENT_KINDS))).any():
             raise DomainError(f"event kind codes must index {EVENT_KINDS}")
-        cols = (kind.astype(np.int8, copy=False),
-                np.asarray(self.start, np.float64),
-                np.asarray(self.duration, np.float64),
-                np.asarray(self.voxel, np.int64))
+        cols = (kind.astype(np.int8), np.array(self.start, np.float64),
+                np.array(self.duration, np.float64), voxel.astype(np.int64))
         if any(c.shape != kind.shape for c in cols):
             raise DomainError("sequence columns must have equal length")
         kind, start, duration, voxel = cols

@@ -26,8 +26,9 @@ def run_cli(*args):
 
 
 def run_module(*args, timeout=None):
-    """qdmsim in a child interpreter, so an uncaught error shows on stderr."""
-    env = dict(os.environ,
+    """qdmsim in a child interpreter, so an uncaught error shows on stderr;
+    warnings are errors there, so none can reach a user either."""
+    env = dict(os.environ, PYTHONWARNINGS="error",
                PYTHONPATH=str(Path(qdmsim.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-m", "qdmsim", *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
@@ -488,16 +489,25 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
-    def test_non_utf8_trace_is_domain_error(self, tmp_path, model):
-        text = trace_to_csv(simulate_calibration(
-            model, 1.0, np.linspace(0.0, 12.0, 40), 1, seed=3, noiseless=True))
+    # the first data row holds a byte that is not UTF-8; the fourth a field
+    # that is not a number, on file line 5
+    @pytest.mark.parametrize("row, bad, named", [
+        (1, b"\xff", "is not UTF-8 text"), (4, b"x", "trace CSV line 5:")],
+        ids=["non-utf8", "bad-field"])
+    def test_non_utf8_trace_is_domain_error(self, tmp_path, model, row, bad,
+                                            named):
+        lines = trace_to_csv(simulate_calibration(
+            model, 1.0, np.linspace(0.0, 12.0, 40), 1, seed=3,
+            noiseless=True)).encode().splitlines()
+        lines[row] = lines[row].replace(b",", b"," + bad, 1)
         path = tmp_path / "bad.csv"
-        path.write_bytes(text.encode().replace(b"\n0.0,", b"\n0.0\xff,", 1))
+        path.write_bytes(b"\n".join(lines) + b"\n")
         proc = run_module("calibrate", "--trace", str(path),
                           "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("domain error:")
+        assert named in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 

@@ -300,6 +300,16 @@ class TestRfMapping:
         with pytest.raises(IndexError):
             voxel_for_rf(freqs, g, cal, iz=iz)
 
+    @pytest.mark.parametrize("iz", [0.5, 1.0, "1", None])
+    def test_non_integer_iz_rejected(self, iz):
+        # iz=0.5 once came back as the voxel (1, 1, 0.5), off the lattice
+        g = VoxelGrid(4, 4, 2, 1.0)
+        cal = default_cal()
+        with pytest.raises(DomainError, match="iz must be an integer"):
+            voxel_for_rf(rf_for_voxel((1, 1, 0), g, cal), g, cal, iz=iz)
+        assert voxel_for_rf(rf_for_voxel((1, 1, 0), g, cal), g, cal,
+                            iz=np.int64(1)) == (1, 1, 1)
+
     def test_out_of_grid(self):
         g = VoxelGrid(4, 4, 1, 1.0)
         with pytest.raises(IndexError):
@@ -311,8 +321,7 @@ class TestRfMapping:
         g = VoxelGrid(5, 3, 2, 0.7)
         cal = default_cal()
         ix, iy, iz = np.array([0, 4, 2]), np.array([0, 2, 1]), np.array([1, 0, 1])
-        columns = (cal.scan_x.drive(ix, g.pitch), cal.scan_y.drive(iy, g.pitch),
-                   cal.descan_x.drive(ix, g.pitch), cal.descan_y.drive(iy, g.pitch))
+        columns = cal.drives(ix, iy, g.pitch)
         for k, voxel in enumerate(zip(ix.tolist(), iy.tolist(), iz.tolist())):
             assert tuple(col[k] for col in columns) == rf_for_voxel(voxel, g, cal)
 
@@ -352,6 +361,23 @@ class TestRfMapping:
         plan = plan_acquisition(VoxelGrid(10, 10, 1, 1.0), make_params(), LCQDM)
         with pytest.raises(DomainError, match="scan_x drives a non-positive"):
             plan.rf_csv(cal)
+
+    def test_one_voxel_and_table_refuse_alike(self):
+        # rf_for_voxel once returned (-8.9, 80.0, 70.1, 80.0) for the far
+        # voxel of a table that rf_csv refused
+        cal = AOMCalibration(scan_x=AOMAxis(1.0, -0.1), scan_y=AOMAxis(80.0, 0.1),
+                             descan_x=AOMAxis(80.0, -0.1),
+                             descan_y=AOMAxis(1.0, -0.1))
+        g = VoxelGrid(100, 100, 1, 1.0)
+        message = (r"AOM channel scan_x drives a non-positive frequency "
+                   r"\(-8\.9 MHz\) inside the grid")
+        with pytest.raises(DomainError, match=message):
+            plan_acquisition(g, make_params(), LCQDM).rf_csv(cal)
+        with pytest.raises(DomainError, match=message):
+            rf_for_voxel((99, 99, 0), g, cal)
+        with pytest.raises(DomainError, match="descan_y"):
+            rf_for_voxel((0, 99, 0), g, cal)
+        assert rf_for_voxel((9, 9, 0), g, cal) == pytest.approx((0.1, 80.9, 79.1, 0.1))
 
 
 class TestRfSchedule:

@@ -427,6 +427,8 @@ class TestInputHygiene:
         ([2.0], [0.0], [1.0], [-1]),        # kind codes must be integers
         ([2, 3], [0.0], [1.0, 2.0], [-1, 0]),  # unequal lengths
         ([3], [0.0], [1.0], [-2]),
+        ([3, 3], [0.0, 9.0], [1.0, 1.0], [0.7, 1.9]),  # was cast to [0, 1]
+        ([3, 3], [0.0, 9.0], [1.0, 1.0], [np.nan, 0]),
     ])
     def test_malformed_columns_rejected(self, columns):
         with pytest.raises(DomainError):
@@ -451,6 +453,20 @@ class TestInputHygiene:
         seq = build_lcqdm_cycle(make_params())
         with pytest.raises(ValueError):
             seq.start[0] = 1.0
+
+    def test_caller_arrays_stay_writeable(self):
+        # the constructor once adopted and froze float64 start and duration
+        # arrays, and int8 kind and int64 voxel arrays, as given
+        kind = np.array([1, 3, 1], np.int8)
+        start, duration = np.array([0.0, 1.0, 1.0]), np.array([5.0, 0.0, 5.0])
+        voxel = np.array([0, 0, -1], np.int64)
+        seq = PulseSequence(kind, start, duration, voxel, CALIBRATION)
+        callers = (kind, start, duration, voxel)
+        for caller in callers:
+            assert caller.flags.writeable
+        for col in (seq.kind, seq.start, seq.duration, seq.voxel):
+            assert not col.flags.writeable
+            assert not any(np.shares_memory(col, caller) for caller in callers)
 
 
 class TestBuildCycleFollowsLayout:
