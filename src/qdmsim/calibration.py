@@ -29,15 +29,18 @@ skipped but still counted.  The first line left must be the header
 comma-separated fields, each parsed by float() - so `1_0`, `nan` and
 `inf` parse as Python parses them, and a non-finite value is then
 refused by CalibrationTrace.  A malformed file raises DomainError naming
-the file line of the first bad row.  The fields of all rows are parsed
-in one pass; only when that fails are the rows scanned again, in order,
-for the one to name.
+the file line of the first bad row.  The rows before the first one
+without exactly three fields are parsed in one pass, through one
+iterator over their fields; a field that float() refuses is placed by
+how many fields that iterator had handed out.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -200,33 +203,26 @@ def read_trace_csv(text: str, intensity: float) -> CalibrationTrace:
     if not lines or lines[0].replace(" ", "") != TRACE_CSV_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_CSV_HEADER!r}")
     body = lines[1:]
-    # Every row holds exactly three fields, so all of them parse in one pass.
-    if any(ln.count(",") != 2 for ln in body):
-        raise _first_bad_row(text)
-    fields = ",".join(body).split(",") if body else []
+    # the rows before the first that does not hold three fields
+    n_rows = next((k for k, ln in enumerate(body) if ln.count(",") != 2), len(body))
+    fields = iter(",".join(body[:n_rows]).split(",") if n_rows else [])
     try:
-        values = np.fromiter(map(float, fields), float, len(fields))
-    except ValueError:
-        raise _first_bad_row(text) from None
+        values = np.fromiter(map(float, fields), float, 3 * n_rows)
+    except ValueError as exc:
+        # float() failed on the last field the iterator handed out
+        row = (3 * n_rows - operator.length_hint(fields) - 1) // 3
+        raise DomainError(f"trace CSV line {_file_line(text, row)}: {exc}") from None
+    if n_rows < len(body):
+        raise DomainError(f"trace CSV line {_file_line(text, n_rows)}: "
+                          "expected 3 columns")
     arr = values.reshape(-1, 3)
     return CalibrationTrace(intensity, arr[:, 0], arr[:, 1], arr[:, 2])
 
 
-def _first_bad_row(text: str) -> DomainError:
-    """The error for the first row below the header that is not 3 floats,
-    naming its file line: blank lines are skipped but counted."""
-    numbered = [(n, s) for n, ln in enumerate(text.splitlines(), start=1)
-                if (s := ln.strip())]
-    for n, ln in numbered[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            return DomainError(f"trace CSV line {n}: expected 3 columns")
-        try:
-            for x in parts:
-                float(x)
-        except ValueError as exc:
-            return DomainError(f"trace CSV line {n}: {exc}")
-    raise AssertionError("read_trace_csv found a bad row that is not there")
+def _file_line(text: str, row: int) -> int:
+    """The file line of body row `row`: blank lines are skipped but counted."""
+    numbered = (n for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    return next(islice(numbered, row + 1, None))
 
 
 def trace_to_csv(trace: CalibrationTrace) -> str:

@@ -1,8 +1,30 @@
-"""Exception types shared across the package.
+"""Exception types and the input rules shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DomainError and
 subclasses -> 2, OSError -> 3.
+
+Every single-value input check of the library goes through one of two
+rules, which return the value they checked and do only their comparisons
+until one fails:
+
+* whole_number: a count, seed or index, taken through operator.index (so
+  numpy integers and bools pass, floats do not) and held to its bounds;
+* finite_number: a quantity that is not NaN or +-inf, held to a lower
+  bound, inclusive or strict.
+
+Each failure is a DomainError whose message starts with the name of the
+value.
 """
+
+import math
+import operator
+
+#: The largest count a float64 holds exactly; a count that becomes a float
+#: (a trial mean, a bin width, a scan total) stays at or below it.
+MAX_EXACT_COUNT = 2**53
+
+_INF = math.inf
+_NEG_INF = -math.inf
 
 
 class DomainError(ValueError):
@@ -19,3 +41,32 @@ class ExtractionError(DomainError):
 
 class ConfigError(ValueError):
     """Config text could not be parsed or validated."""
+
+
+def whole_number(name: str, value, lo, hi=None) -> int:
+    """value as an int in [lo, hi] (hi None: no upper bound)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+    if n < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        if hi == MAX_EXACT_COUNT:
+            raise DomainError(f"{name} exceeds 2**53, the largest count a "
+                              "float64 holds exactly")
+        raise DomainError(f"{name} must be <= {hi}, got {n}")
+    return n
+
+
+def finite_number(name: str, value, lo: float = _NEG_INF, strict: bool = False):
+    """value unchanged if it is finite and >= lo (> lo when strict)."""
+    if (value > lo if strict else value >= lo) and _NEG_INF < value < _INF:
+        return value
+    if lo == _NEG_INF:
+        rule = "finite"
+    elif strict and lo == 0:
+        rule = "finite and positive"
+    else:
+        rule = f"finite and {'>' if strict else '>='} {lo}"
+    raise DomainError(f"{name} must be {rule}, got {value}")

@@ -27,11 +27,12 @@ n_trials independent cycles
 
 whose noiseless value is sensitivity.eta_exact.
 
-Both simulators share three input rules, each written once: a count
-(trials, shots per point) is a whole number in [1, 2**53], the largest a
-float64 holds exactly (`_check_count`); a seed is a whole number >= 0, as
-SeedSequence takes it (`_check_seed`); and every Poisson mean they draw
-from lies in [0, _MAX_PHOTONS_PER_CYCLE], inside numpy's sampler range
+Both simulators share three input rules.  A count (trials, shots per
+point) is a whole number in [1, 2**53], the largest a float64 holds
+exactly, and a seed is a whole number >= 0, as SeedSequence takes it:
+errors.whole_number, the package's one home for the count, seed and
+quantity rules, checks both.  Every Poisson mean they draw from lies in
+[0, _MAX_PHOTONS_PER_CYCLE], inside numpy's sampler range
 (`_in_poisson_range`).
 
 Determinism contract: trial t belongs to block t // TRIAL_BLOCK.  Each
@@ -45,14 +46,13 @@ and a run's full blocks reappear unchanged in any longer run.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .calibration import CalibrationTrace, extract_times, fit_log_quadratic
-from .errors import DomainError
+from .errors import MAX_EXACT_COUNT, DomainError, whole_number
 from .photophysics import (LogQuadraticCurve, PhotophysicsModel,
                            contrast_at_delay, photon_flux)
 from .sensitivity import readout_decay_sum
@@ -71,30 +71,6 @@ TRIAL_BLOCK = 1024
 _MAX_PHOTONS_PER_CYCLE = 1e18
 
 
-def _check_count(name: str, value) -> None:
-    """The count rule: a whole number in [1, 2**53] (a trial mean or a bin
-    width turns the count into a float)."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
-    if n < 1:
-        raise DomainError(f"{name} must be >= 1, got {n}")
-    if n > 2**53:
-        raise DomainError(f"{name} exceeds 2**53, the largest count a "
-                          "float64 holds exactly")
-
-
-def _check_seed(name: str, value) -> None:
-    """The seed rule: a whole number >= 0, as SeedSequence takes it."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
-    if n < 0:
-        raise DomainError(f"{name} must be >= 0, got {n}")
-
-
 def _in_poisson_range(lam: float) -> bool:
     """The Poisson-range rule: a mean in [0, _MAX_PHOTONS_PER_CYCLE]; false
     for NaN."""
@@ -110,8 +86,8 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self):
-        _check_count("n_trials", self.n_trials)
-        _check_seed("master_seed", self.master_seed)
+        whole_number("n_trials", self.n_trials, 1, MAX_EXACT_COUNT)
+        whole_number("master_seed", self.master_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -234,8 +210,8 @@ def simulate_calibration(model: PhotophysicsModel, intensity: float,
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise DomainError("sweep_grid must be non-empty, non-negative, "
                           "strictly increasing")
-    _check_count("shots_per_point", shots_per_point)
-    _check_seed("seed", seed)
+    whole_number("shots_per_point", shots_per_point, 1, MAX_EXACT_COUNT)
+    whole_number("seed", seed, 0)
     flux = photon_flux(model, intensity)
     sig_rate = flux * (1.0 - contrast_at_delay(model, intensity, grid))
     ref_rate = np.full_like(sig_rate, flux)
@@ -271,7 +247,7 @@ def end_to_end_pipeline(model: PhotophysicsModel, intensities: Sequence[float],
     """
     if len(intensities) != len(sweep_grids):
         raise DomainError("need one sweep grid per intensity")
-    _check_seed("master_seed", master_seed)
+    whole_number("master_seed", master_seed, 0)
     samples = []
     for k, (intensity, grid) in enumerate(zip(intensities, sweep_grids)):
         seed = int(np.random.SeedSequence((master_seed, k)).generate_state(1)[0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError, finite_number
 
 # Default fitted window for the log-quadratic curves, mW/um^2.
 VALID_INTENSITY_MIN = 0.001
@@ -40,11 +40,9 @@ DEFAULT_C0 = 0.03        # peak spin contrast
 
 def lightsheet_intensity(p_ls: float, l_y: float, d_ls: float) -> float:
     """Sheet intensity in mW/um^2 from power (mW), lateral size and thickness (um)."""
-    if not (0 < l_y < math.inf and 0 < d_ls < math.inf):
-        raise DomainError(f"sheet dimensions must be finite and positive, "
-                          f"got l_y={l_y}, d_ls={d_ls}")
-    if p_ls < 0 or not math.isfinite(p_ls):
-        raise DomainError(f"sheet power must be finite and >= 0, got {p_ls}")
+    finite_number("sheet dimension l_y", l_y, 0, strict=True)
+    finite_number("sheet dimension d_ls", d_ls, 0, strict=True)
+    finite_number("sheet power p_ls", p_ls, 0)
     return p_ls / (l_y * d_ls)
 
 
@@ -53,10 +51,8 @@ def confocal_intensity(p_conf: float, delta_conf: float) -> float:
 
     The divisor is the literal square of the focal diameter, delta**2.
     """
-    if not 0 < delta_conf < math.inf:
-        raise DomainError(f"beam diameter must be finite and positive, got {delta_conf}")
-    if p_conf < 0 or not math.isfinite(p_conf):
-        raise DomainError(f"readout power must be finite and >= 0, got {p_conf}")
+    finite_number("beam diameter delta_conf", delta_conf, 0, strict=True)
+    finite_number("readout power p_conf", p_conf, 0)
     return p_conf / (delta_conf * delta_conf)
 
 
@@ -70,13 +66,11 @@ class LogQuadraticCurve:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"curve coefficient {name} must be finite")
+            finite_number(f"curve coefficient {name}", getattr(self, name))
 
     def duration(self, intensity: float) -> float:
         """Evaluate the curve at a finite intensity > 0 (mW/um^2); returns us."""
-        if not 0 < intensity < math.inf:
-            raise DomainError(f"intensity must be positive and finite, got {intensity}")
+        finite_number("intensity", intensity, 0, strict=True)
         log_i = math.log10(intensity)
         try:
             t = 10.0 ** (self.a + self.b * log_i + self.c * log_i * log_i)
@@ -109,10 +103,8 @@ class PhotophysicsModel:
     valid_max: float = VALID_INTENSITY_MAX
 
     def __post_init__(self):
-        if not (self.i_sat > 0 and math.isfinite(self.i_sat)):
-            raise DomainError(f"i_sat must be positive, got {self.i_sat}")
-        if not (self.r_max > 0 and math.isfinite(self.r_max)):
-            raise DomainError(f"r_max must be positive, got {self.r_max}")
+        finite_number("i_sat", self.i_sat, 0, strict=True)
+        finite_number("r_max", self.r_max, 0, strict=True)
         if not 0 < self.c0 < 1:
             raise DomainError(f"c0 must lie in (0, 1), got {self.c0}")
         if not 0 < self.valid_min < self.valid_max:
@@ -147,8 +139,7 @@ class PhotophysicsModel:
                     f"({t_init:.4g} < {t_ro:.4g} us)")
 
     def _require_in_range(self, intensity: float) -> None:
-        if intensity <= 0 or not math.isfinite(intensity):
-            raise DomainError(f"intensity must be positive and finite, got {intensity}")
+        finite_number("intensity", intensity, 0, strict=True)
         if not self.valid_min <= intensity <= self.valid_max:
             raise OutOfRangeError(
                 f"intensity {intensity:.6g} mW/um^2 outside curve validity "
@@ -169,8 +160,7 @@ def readout_time(model: PhotophysicsModel, intensity: float) -> float:
 
 def photon_flux(model: PhotophysicsModel, intensity: float) -> float:
     """Saturating PL photon rate in counts/us: r_max * I / (I + I_sat)."""
-    if intensity < 0 or not math.isfinite(intensity):
-        raise DomainError(f"intensity must be finite and >= 0, got {intensity}")
+    finite_number("intensity", intensity, 0)
     return model.r_max * intensity / (intensity + model.i_sat)
 
 

@@ -25,14 +25,13 @@ by block.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._csv import Axis, csv_text
-from .errors import DomainError
+from .errors import MAX_EXACT_COUNT, DomainError, finite_number, whole_number
 from .sequence import (CONVENTIONAL, LCQDM, LEIBOLD, PROTOCOLS, ProtocolParams,
                        cycle_layout)
 
@@ -46,20 +45,13 @@ class VoxelGrid:
 
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
-            size = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(size))
-            except TypeError:
-                raise DomainError(f"grid dimension {name} must be an integer, "
-                                  f"got {size!r}") from None
-        if min(self.nx, self.ny, self.nz) < 1:
-            raise DomainError("grid dimensions must be >= 1")
+            object.__setattr__(self, name, whole_number(
+                f"grid dimension {name}", getattr(self, name), 1))
         # _scan_total turns the count into a float
-        if self.n_voxels > 2**53:
+        if self.n_voxels > MAX_EXACT_COUNT:
             raise DomainError("grid holds more than 2**53 voxels, the largest "
                               "count a float64 holds exactly")
-        if not (math.isfinite(self.pitch) and self.pitch > 0):
-            raise DomainError(f"pitch must be finite and positive, got {self.pitch}")
+        finite_number("pitch", self.pitch, 0, strict=True)
 
     @property
     def n_voxels(self) -> int:
@@ -81,13 +73,9 @@ class AOMAxis:
     slope: float  # MHz per um
 
     def __post_init__(self):
-        if not (math.isfinite(self.f0) and math.isfinite(self.slope)):
-            raise DomainError(f"AOM f0 and slope must be finite, got "
-                              f"{self.f0}, {self.slope}")
-        if self.slope == 0:
+        finite_number("AOM base frequency f0", self.f0, 0, strict=True)
+        if finite_number("AOM slope", self.slope) == 0:
             raise DomainError("AOM slope must be nonzero")
-        if self.f0 <= 0:
-            raise DomainError(f"AOM base frequency must be positive, got {self.f0}")
 
     def drive(self, index, pitch: float):
         """Frequency in MHz at a lattice index (an int or an integer array)
@@ -142,14 +130,12 @@ def voxel_for_rf(freqs: tuple[float, float, float, float], grid: VoxelGrid,
                  cal: AOMCalibration, iz: int = 0) -> tuple[int, int, int]:
     """Invert rf_for_voxel.
 
-    Raises DomainError when iz is not an integer, a frequency lies off the
+    Raises DomainError when iz is not a whole number, a frequency lies off the
     voxel lattice or the descan channels point at another voxel than the
     scan channels, and IndexError when the voxel lies outside the grid.
     """
-    try:
-        iz = operator.index(iz)
-    except TypeError:
-        raise DomainError(f"iz must be an integer, got {iz!r}") from None
+    # any whole number: one outside the grid is an IndexError below
+    iz = whole_number("iz", iz, -math.inf)
     f_sx, f_sy, f_dx, f_dy = freqs
     ix = _lattice_index(f_sx, cal.scan_x, grid.pitch, "scan_x")
     iy = _lattice_index(f_sy, cal.scan_y, grid.pitch, "scan_y")
@@ -209,8 +195,8 @@ def _scan_total(grid: VoxelGrid, p: ProtocolParams, protocol_tag: str,
     time t_d with t_z_step.  A total that overflows is a DomainError.
     """
     batch, overhead, slot = cycle_layout(protocol_tag, p)
-    if t_z_step is not None and not 0 <= t_z_step < math.inf:
-        raise DomainError(f"t_z_step must be finite and >= 0, got {t_z_step}")
+    if t_z_step is not None:
+        finite_number("t_z_step", t_z_step, 0)
     full, partial = divmod(grid.n_voxels, batch)
     total = full * (overhead + batch * slot)
     if partial:

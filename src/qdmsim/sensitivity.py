@@ -35,14 +35,13 @@ text is byte for byte that of a cell-by-cell loop.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from ._csv import Axis, csv_text
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError, finite_number, whole_number
 from .photophysics import PhotophysicsModel, init_time, readout_time
 from .sequence import PROTOCOLS, ProtocolParams, _cycle, cycle_layout
 
@@ -148,10 +147,8 @@ class SweepSpec:
         _require_increasing("t_mw_grid", self.t_mw_grid)
         if not all(0 <= t < math.inf for t in self.t_mw_grid):
             raise DomainError("t_mw_grid must be finite and >= 0")
-        if not 0 < self.t1 < math.inf:
-            raise DomainError(f"t1 must be finite and positive, got {self.t1}")
-        if not 0 <= self.t_d < math.inf:
-            raise DomainError(f"t_d must be finite and >= 0, got {self.t_d}")
+        finite_number("t1", self.t1, 0, strict=True)
+        finite_number("t_d", self.t_d, 0)
         # Fails fast if i_ls is outside the model's fitted window.
         init_time(self.model, self.i_ls)
 
@@ -165,11 +162,8 @@ def _require_increasing(name: str, grid: tuple[float, ...]) -> None:
 
 def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     """n log-spaced points from lo to hi inclusive."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"log_grid n must be an integer, got {n!r}") from None
-    if not (0 < lo < hi < math.inf) or n < 1:
+    n = whole_number("log_grid n", n, 1)
+    if not 0 < lo < hi < math.inf:
         raise DomainError(f"bad grid request lo={lo}, hi={hi}, n={n}")
     if n == 1:
         return (lo,)

@@ -47,13 +47,12 @@ another role (reinitialization, conventional init, calibration).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_number, whole_number
 
 LCQDM = "LCQDM"
 LEIBOLD = "Leibold"
@@ -89,14 +88,12 @@ class ProtocolParams:
     t1: float           # spin-lattice relaxation time
 
     def __post_init__(self):
-        for name in ("t_init_ls", "t_init_conf", "t_ro_conf", "t_mw", "t_d", "t1"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
-        if self.t1 <= 0:
-            raise DomainError(f"t1 must be positive, got {self.t1}")
-        if self.t_ro_conf <= 0:
-            raise DomainError(f"t_ro_conf must be positive, got {self.t_ro_conf}")
+        finite_number("t_init_ls", self.t_init_ls, 0)
+        finite_number("t_init_conf", self.t_init_conf, 0)
+        finite_number("t_ro_conf", self.t_ro_conf, 0, strict=True)
+        finite_number("t_mw", self.t_mw, 0)
+        finite_number("t_d", self.t_d, 0)
+        finite_number("t1", self.t1, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -131,6 +128,11 @@ class PulseSequence:
                 raise DomainError(f"{what} must be a 1-D integer column")
         if ((kind < 0) | (kind >= len(EVENT_KINDS))).any():
             raise DomainError(f"event kind codes must index {EVENT_KINDS}")
+        # before the cast to int64, which wraps a uint64 index to -1 or below
+        bad = voxel[(voxel < -1) | (voxel > np.iinfo(np.int64).max)]
+        if bad.size:
+            raise DomainError(f"voxel indices must be >= 0 (or -1 for none) and "
+                              f"fit int64, got {int(bad[0])}")
         cols = (kind.astype(np.int8), np.array(self.start, np.float64),
                 np.array(self.duration, np.float64), voxel.astype(np.int64))
         if any(c.shape != kind.shape for c in cols):
@@ -145,9 +147,6 @@ class PulseSequence:
             raise DomainError(
                 f"event {i} times must be finite and >= 0 with a finite end, "
                 f"got start={float(start[i])}, duration={float(duration[i])}")
-        if (voxel < -1).any():
-            raise DomainError(f"voxel indices must be >= 0 (or -1 for none), "
-                              f"got {int(voxel.min())}")
         _freeze(self, cols)
 
     @classmethod
@@ -283,12 +282,7 @@ def build_cycle(protocol_tag: str, p: ProtocolParams,
     (by default cycle_layout's full count; fewer end a scan).
     """
     count, overhead, slot, prelude, slot_events = _layout(protocol_tag, p)
-    try:
-        n = count if n_readouts is None else operator.index(n_readouts)
-    except TypeError:
-        raise DomainError(f"n_readouts must be an integer, got {n_readouts!r}") from None
-    if not 1 <= n <= count:
-        raise DomainError(f"n_readouts must be in [1, {count}], got {n}")
+    n = count if n_readouts is None else whole_number("n_readouts", n_readouts, 1, count)
     head, width = len(prelude), len(slot_events)
     n_events = head + width * n
     if n_events > MAX_EVENTS:
@@ -335,8 +329,7 @@ def build_calibration_sequence(p: ProtocolParams, t_sweep: float) -> PulseSequen
     has no pulse applied inside it), then the laser back on with an
     instantaneous readout sample at offset t_sweep.
     """
-    if not (math.isfinite(t_sweep) and t_sweep >= 0):
-        raise DomainError(f"t_sweep must be finite and >= 0, got {t_sweep}")
+    finite_number("t_sweep", t_sweep, 0)
     # rows: 0 = signal half, 1 = reference half
     t0 = np.array([[0.0], [p.t_init_conf + t_sweep + p.t_ro_conf]])
     laser_on = t0 + p.t_init_conf

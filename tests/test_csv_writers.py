@@ -83,6 +83,22 @@ def reference_trials_csv(trial_etas):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got, want):
+    """got == want exactly.  A mismatch fails with the first differing line
+    and both lines, not pytest's diff of two large texts, which can run for
+    minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    n = next((i for i, pair in enumerate(zip(got_lines, want_lines))
+              if pair[0] != pair[1]), min(len(got_lines), len(want_lines)))
+    end = "<end of text>"
+    pytest.fail(f"texts differ first at line {n + 1}:\n"
+                f"  got:  {(got_lines[n] if n < len(got_lines) else end)!r}\n"
+                f"  want: {(want_lines[n] if n < len(want_lines) else end)!r}",
+                pytrace=False)
+
+
 # -- the table builder --------------------------------------------------------
 
 def column_text(values):
@@ -227,7 +243,7 @@ class TestColumnText:
     def test_edge_families(self):
         col = edge_family_values(0, 750_000)
         assert len(col) >= 10**6
-        assert column_text(col) == [repr(v) for v in col.tolist()]
+        assert_same_text("\n".join(column_text(col)), "\n".join(map(repr, col.tolist())))
 
 
 class TestCsvText:
@@ -242,7 +258,7 @@ class TestCsvText:
         col = np.cumsum(np.random.default_rng(2).random(1000))
         want = csv_text("i,x", [np.arange(1000), col])
         monkeypatch.setattr(qdmsim._csv, "BLOCK_VALUES", 7)
-        assert csv_text("i,x", [np.arange(1000), col]) == want
+        assert_same_text(csv_text("i,x", [np.arange(1000), col]), want)
         assert want.splitlines()[1:] == [f"{i},{v!r}" for i, v in enumerate(col.tolist())]
 
     @pytest.mark.parametrize("block_values", [7, 60])
@@ -255,9 +271,9 @@ class TestCsvText:
                                   sweep_points_i=6, sweep_points_t=4)
         grid, cal = cfg.voxel_grid(), cfg.aom_calibration()
         plan = plan_acquisition(grid, cfg.protocol_params(), CONVENTIONAL)
-        assert plan.rf_csv(cal) == reference_rf_csv(grid, cal)
+        assert_same_text(plan.rf_csv(cal), reference_rf_csv(grid, cal))
         sweep_grid = sweep(cfg.sweep_spec())
-        assert sweep_grid.to_csv() == reference_to_csv(sweep_grid)
+        assert_same_text(sweep_grid.to_csv(), reference_to_csv(sweep_grid))
 
 
 # -- the writers on seeded configs ------------------------------------------
@@ -317,7 +333,7 @@ def test_seeded_configs_cover_the_edge_cases():
 @pytest.mark.parametrize("seed", range(N_CONFIGS))
 def test_sweep_csv_matches_row_loop(seed):
     grid = sweep(seeded_config(seed).sweep_spec())
-    assert grid.to_csv() == reference_to_csv(grid)
+    assert_same_text(grid.to_csv(), reference_to_csv(grid))
 
 
 @pytest.mark.parametrize("tag", PROTOCOLS)
@@ -326,8 +342,8 @@ def test_plan_csvs_match_row_loop(seed, tag):
     cfg = seeded_config(seed)
     grid, cal = cfg.voxel_grid(), cfg.aom_calibration()
     plan = plan_acquisition(grid, cfg.protocol_params(), tag, t_z_step=cfg.t_z_step)
-    assert plan.cycles_csv() == reference_cycles_csv(plan)
-    assert plan.rf_csv(cal) == reference_rf_csv(grid, cal)
+    assert_same_text(plan.cycles_csv(), reference_cycles_csv(plan))
+    assert_same_text(plan.rf_csv(cal), reference_rf_csv(grid, cal))
 
 
 @st.composite
@@ -360,10 +376,10 @@ def random_configs(draw):
 def test_writers_match_row_loops_on_random_grids(cfg, tag):
     grid, cal = cfg.voxel_grid(), cfg.aom_calibration()
     plan = plan_acquisition(grid, cfg.protocol_params(), tag, t_z_step=cfg.t_z_step)
-    assert plan.rf_csv(cal) == reference_rf_csv(grid, cal)
-    assert plan.cycles_csv() == reference_cycles_csv(plan)
+    assert_same_text(plan.rf_csv(cal), reference_rf_csv(grid, cal))
+    assert_same_text(plan.cycles_csv(), reference_cycles_csv(plan))
     sweep_grid = sweep(cfg.sweep_spec())
-    assert sweep_grid.to_csv() == reference_to_csv(sweep_grid)
+    assert_same_text(sweep_grid.to_csv(), reference_to_csv(sweep_grid))
 
 
 class TestTraceCsv:
@@ -374,7 +390,7 @@ class TestTraceCsv:
         grid = np.linspace(0.0, 1.25 * init_time(model, intensity), 500)
         trace = simulate_calibration(model, intensity, grid, 200, seed=4,
                                      noiseless=noiseless)
-        assert trace_to_csv(trace) == reference_trace_to_csv(trace)
+        assert_same_text(trace_to_csv(trace), reference_trace_to_csv(trace))
 
     def test_edge_traces(self):
         empty = CalibrationTrace(1.0, np.array([]), np.array([]), np.array([]))
@@ -383,7 +399,7 @@ class TestTraceCsv:
                                   np.array([0.0, -0.0, 5e-324]),
                                   np.array([1.0, 1.0, 1.0]))
         text = trace_to_csv(signed)
-        assert text == reference_trace_to_csv(signed)
+        assert_same_text(text, reference_trace_to_csv(signed))
         assert text.splitlines()[1:] == ["-0.0,0.0,1.0", "1e-05,-0.0,1.0",
                                          "1e+16,5e-324,1.0"]
 
@@ -399,7 +415,7 @@ def test_trials_csv_matches_row_loop(tmp_path, tag):
     assert main(["simulate", "--protocol", tag.lower(), "--trials", "300",
                  "--seed", "5", "--dump-trials", "--out", str(out)]) == 0
     text = (out / "simulate_trials.csv").read_text()
-    assert text == reference_trials_csv(etas)
+    assert_same_text(text, reference_trials_csv(etas))
     assert "np." not in text
 
 

@@ -49,9 +49,9 @@ class TestIntensities:
     # Non-finite input is refused before any arithmetic: no nan or 0.0 result.
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position,message", [
-        (0, "sheet power must be finite and >= 0"),
-        (1, "sheet dimensions must be finite and positive"),
-        (2, "sheet dimensions must be finite and positive")])
+        (0, "sheet power p_ls must be finite and >= 0"),
+        (1, "sheet dimension l_y must be finite and positive"),
+        (2, "sheet dimension d_ls must be finite and positive")])
     def test_lightsheet_non_finite_rejected(self, position, message, bad, capfd):
         args = [2000.0, 100.0, 10.0]
         args[position] = bad
@@ -61,8 +61,8 @@ class TestIntensities:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position,message", [
-        (0, "readout power must be finite and >= 0"),
-        (1, "beam diameter must be finite and positive")])
+        (0, "readout power p_conf must be finite and >= 0"),
+        (1, "beam diameter delta_conf must be finite and positive")])
     def test_confocal_non_finite_rejected(self, position, message, bad, capfd):
         args = [2.0, 0.53]
         args[position] = bad
@@ -263,7 +263,7 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("intensity", [0.0, -1.0, math.nan, math.inf])
     def test_curve_at_nonpositive_intensity(self, intensity):
-        with pytest.raises(DomainError, match="intensity must be positive"):
+        with pytest.raises(DomainError, match="intensity must be finite and positive"):
             LogQuadraticCurve(0.7, -0.9, 0.1).duration(intensity)
 
     @pytest.mark.parametrize("intensity", [-1.0, math.nan])

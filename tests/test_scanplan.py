@@ -44,9 +44,10 @@ class TestGrid:
         with pytest.raises(DomainError):
             VoxelGrid(2, 2, 1, 0.0)
 
-    @pytest.mark.parametrize("dims", [(2.5, 2, 1), (2, 2.0, 1), (2, 2, "1")])
-    def test_non_integer_dimensions_rejected(self, dims):
-        with pytest.raises(DomainError, match="integer"):
+    @pytest.mark.parametrize("dims, name", [((2.5, 2, 1), "nx"), ((2, 2.0, 1), "ny"),
+                                            ((2, 2, "1"), "nz")])
+    def test_non_integer_dimensions_rejected(self, dims, name):
+        with pytest.raises(DomainError, match=f"grid dimension {name} must be a whole number"):
             VoxelGrid(*dims, 1.0)
 
     def test_numpy_integer_dimensions_accepted(self):
@@ -305,7 +306,7 @@ class TestRfMapping:
         # iz=0.5 once came back as the voxel (1, 1, 0.5), off the lattice
         g = VoxelGrid(4, 4, 2, 1.0)
         cal = default_cal()
-        with pytest.raises(DomainError, match="iz must be an integer"):
+        with pytest.raises(DomainError, match="iz must be a whole number"):
             voxel_for_rf(rf_for_voxel((1, 1, 0), g, cal), g, cal, iz=iz)
         assert voxel_for_rf(rf_for_voxel((1, 1, 0), g, cal), g, cal,
                             iz=np.int64(1)) == (1, 1, 1)
@@ -344,7 +345,7 @@ class TestRfMapping:
             AOMAxis(80.0, 0.0)
 
     def test_zero_base_frequency_rejected(self):
-        with pytest.raises(DomainError, match="base frequency must be positive"):
+        with pytest.raises(DomainError, match="base frequency f0 must be finite and positive"):
             AOMAxis(0.0, 0.1)
 
     @pytest.mark.parametrize("f0, slope", [

@@ -368,7 +368,7 @@ class TestLogGrid:
     @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
     def test_rejects_non_integer_count(self, n):
         # n=2.5 once ended in range()'s raw TypeError
-        with pytest.raises(DomainError, match="n must be an integer"):
+        with pytest.raises(DomainError, match="log_grid n must be a whole number"):
             log_grid(1.0, 2.0, n)
         assert log_grid(1.0, 2.0, np.int64(3)) == log_grid(1.0, 2.0, 3)
 

@@ -429,6 +429,8 @@ class TestInputHygiene:
         ([3], [0.0], [1.0], [-2]),
         ([3, 3], [0.0, 9.0], [1.0, 1.0], [0.7, 1.9]),  # was cast to [0, 1]
         ([3, 3], [0.0, 9.0], [1.0, 1.0], [np.nan, 0]),
+        ([3], [0.0], [1.0], [2**64 - 1]),   # uint64, was cast to -1 (no voxel)
+        ([3], [0.0], [1.0], [2**63]),
     ])
     def test_malformed_columns_rejected(self, columns):
         with pytest.raises(DomainError):
@@ -436,9 +438,9 @@ class TestInputHygiene:
 
     @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
     def test_non_integer_readout_count_rejected(self, n):
-        with pytest.raises(DomainError, match="integer"):
+        with pytest.raises(DomainError, match="n_readouts must be a whole number"):
             build_cycle(LCQDM, make_params(), n)
-        with pytest.raises(DomainError, match="integer"):
+        with pytest.raises(DomainError, match="n_readouts must be a whole number"):
             build_cycle(LEIBOLD, make_params(), n)
 
     def test_unknown_protocol_tag_rejected(self):
@@ -487,7 +489,7 @@ class TestBuildCycleFollowsLayout:
             build_cycle(tag, make_params())
 
     def test_conventional_cycle_holds_one_readout(self):
-        with pytest.raises(DomainError, match=r"\[1, 1\]"):
+        with pytest.raises(DomainError, match="n_readouts must be <= 1, got 2"):
             build_cycle(CONVENTIONAL, make_params(), 2)
 
 
