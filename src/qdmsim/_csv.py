@@ -7,15 +7,16 @@ writes.  csv_text lays out a block of rows at a time as one uint8 matrix:
 each column owns a fixed run of bytes per row, a value's text sits in it
 with NUL bytes wherever it is shorter, and commas and newlines have fixed
 places.  bytes.translate drops every NUL, which compacts the block; the
-blocks are decoded once.  Digits come two at a time from a table of the
-texts of 0 .. 99.  A column given as an Axis (the grid axes of a sweep or
-an RF table) is formatted once per table.  Axis columns that repeat alike
-share a pattern: one full-width row per value, holding their texts in
-their fields and NUL elsewhere.  A block starts as the separators; each
-pattern's rows are gathered for it and merged in by bitwise or, and the
-array columns' texts are copied into their fields.  A block holds at most BLOCK_VALUES values, which bounds its
-temporaries: a writer's peak stays within three times the text it
-returns.
+blocks are decoded once.  Whole digits come two at a time from a table of
+the texts of 0 .. 99, and fraction digits four at a time from one of the
+texts of 0 .. 9999, built on first use.  A column given as an Axis (the
+grid axes of a sweep or an RF table) is formatted once per table.  Axis
+columns that repeat alike share a pattern: one full-width row per value,
+holding their texts in their fields and NUL elsewhere.  A block starts as
+the separators; each pattern's rows are gathered for it and merged in by
+bitwise or, and the array columns' texts are copied into their fields.  A
+block holds at most BLOCK_VALUES values, which bounds its temporaries: a
+writer's peak stays within three times the text it returns.
 
 The float kernel certifies each value's digits exactly.  For |x| in
 [1e-4, 1e16), where repr prints positional digits, it forms N = |x| * 10**s
@@ -41,6 +42,7 @@ even rule of reading a decimal back would decide.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -64,24 +66,43 @@ _TEN, _HUNDRED = np.uint64(10), np.uint64(100)
 
 
 def _cell_table() -> np.ndarray:
-    """Texts of 0 .. 99 as 2-byte cells, in five variants: zero-padded;
-    leading zero NUL; the same with 0 as "0"; trailing zero NUL; the same
-    with 0 as "0".  Then the digits 0 .. 9, each followed by a point."""
+    """Texts of 0 .. 99 as 2-byte cells, in four variants: zero-padded;
+    leading zero NUL; the same with 0 as "0"; trailing zero NUL.  Then the
+    digits 0 .. 9, each followed by a point."""
     i = np.arange(100)[:, None]
     place = np.array([10, 1])
     chars = (i // place % 10 + 48).astype(np.uint8)
     no_lead = chars * (i >= place)
     no_trail = chars * (i % (10 * place) != 0)
-    units, first = no_lead.copy(), no_trail.copy()
-    units[0, 1] = first[0, 0] = 48
+    units = no_lead.copy()
+    units[0, 1] = 48
     point = np.stack([chars[:10, 1], np.full(10, 46, dtype=np.uint8)], axis=1)
-    return np.concatenate([chars, no_lead, units, no_trail, first, point]
-                          ).view(np.uint16).ravel()
+    return np.concatenate([chars, no_lead, units, no_trail, point]).view(np.uint16).ravel()
 
 
 _CELLS = _cell_table()
-_NO_LEAD, _UNITS, _NO_TRAIL, _FIRST, _POINT = map(np.int64, (100, 200, 300, 400, 500))
+_NO_LEAD, _UNITS, _POINT = map(np.int64, (100, 200, 400))
 _MINUS_CELL = np.frombuffer(b"-\0", dtype=np.uint16)[0]
+_ZERO_CELL = np.frombuffer(b"0\0", dtype=np.uint16)[0]
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """Texts of 0 .. 9999 as 4-byte groups, in three variants: zero-padded;
+    trailing zeros NUL; the same with 0 as "0".  Each group is two cells of
+    _CELLS: its upper pair drops trailing zeros only when its lower pair is
+    00."""
+    pairs, no_trail = _CELLS[:100], _CELLS[300:400]
+    t = np.empty((3, 100, 100, 2), dtype=np.uint16)  # variant, upper, lower, cell
+    t[:, :, :, 0] = pairs[:, None]
+    t[0, :, :, 1] = pairs
+    t[1:, :, :, 1] = no_trail
+    t[1:, :, 0, 0] = no_trail
+    t[2, 0, 0, 0] = _ZERO_CELL
+    return t.view(np.uint32).ravel()
+
+
+_NO_TRAIL, _FIRST = np.int64(10000), np.int64(20000)
 
 
 class Axis(NamedTuple):
@@ -209,17 +230,18 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _frac_cells(hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
-    """Digits of hi * 10**12 + lo into out's 2-byte cells, left-aligned to
+    """Digits of hi * 10**12 + lo into out's 4-byte groups, left-aligned to
     the first, trailing zeros NUL and 0 printed as "0"."""
+    quads = _quads()
     n = out.shape[1]
-    zeros_right = np.ones(len(lo), dtype=bool)  # every cell to the right is zeros
+    zeros_right = np.ones(len(lo), dtype=bool)  # every group to the right is zeros
     v = lo
     for k in range(n - 1, -1, -1):
-        if k == n - 7:
+        if k == n - 4:
             v = hi
-        q = v // 100
-        r = v - q * 100
-        np.take(_CELLS, r + zeros_right * (_FIRST if k == 0 else _NO_TRAIL), out=out[:, k])
+        q = v // 10000
+        r = v - q * 10000
+        np.take(quads, r + zeros_right * (_FIRST if k == 0 else _NO_TRAIL), out=out[:, k])
         zeros_right &= r == 0
         v = q
 
@@ -267,9 +289,12 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     m, s, ok = _shortest(x)
     m[~ok], s[~ok] = 0, 1
     whole, frac = np.divmod(m, _INT_POW10[np.minimum(s, 18)])  # m < 10**18
-    # the fraction, left-aligned in 2 * n_frac digits, is hi * 10**12 + lo
+    # the fraction takes n_frac cells; left-aligned in the 4 * n_quads
+    # digits of its groups (up to 20, more than an int64 holds), it is
+    # hi * 10**12 + lo
     n_frac = -(-int(s.max(initial=1)) // 2)
-    shift = 2 * n_frac - s
+    n_quads = -(-n_frac // 2)
+    shift = 4 * n_quads - s
     hi, lo = np.divmod(frac, _INT_POW10[np.maximum(12 - shift, 0)])
     hi *= _INT_POW10[np.maximum(shift - 12, 0)]
     lo *= _INT_POW10[np.minimum(shift, 12)]
@@ -277,12 +302,16 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     sign = int(neg.any())
     n_whole = _n_whole(int(whole.max(initial=0)), True)
     slow = [repr(v) for v in x[~ok].tolist()]
-    width = max([sign + n_whole + n_frac, *(-(-len(t) // 2) for t in slow)])
-    out = np.zeros((len(x), width), dtype=np.uint16)
+    start = sign + n_whole
+    width = max([start + n_frac, *(-(-len(t) // 2) for t in slow)])
+    # with n_frac odd the last group spills one cell past the fraction: it
+    # holds trailing zeros, so NUL, and is cut off
+    out = np.zeros((len(x), max(width, start + 2 * n_quads)), dtype=np.uint16)
     if sign:
         out[:, 0] = neg * _MINUS_CELL
-    _whole_cells(whole.view(np.uint64), out[:, sign:sign + n_whole], point=True)
-    _frac_cells(hi, lo, out[:, sign + n_whole:sign + n_whole + n_frac])
+    _whole_cells(whole.view(np.uint64), out[:, sign:start], point=True)
+    _frac_cells(hi, lo, out[:, start:start + 2 * n_quads].view(np.uint32))
+    out = out[:, :width]
     if slow:
         out[~ok] = np.array(slow, dtype=f"S{2 * width}").view(np.uint16).reshape(-1, width)
     return out

@@ -3,7 +3,10 @@
 Commands: eval, sweep, simulate, calibrate, plan.  Every command writes
 its outputs plus a manifest (digest of the effective inputs, the seed, and
 per-file checksums) into the output directory; reruns with the same config
-and seed reproduce every file byte for byte.
+and seed reproduce every file byte for byte.  A rerun into the same
+directory removes the old manifest, rewrites each output in place (the
+same file, written over and cut to its new length), then writes the
+manifest.
 
 The plan report's total_time_us is the requested protocol's scan time
 including focus steps (t_z_step); total_<protocol>_us and both speedup
@@ -24,6 +27,7 @@ import argparse
 import functools
 import hashlib
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -114,6 +118,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Keeps Windows from translating newlines in files opened through os.open.
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
+
+def _rewrite(path: Path, data: bytes) -> None:
+    """Write data over the file at path and cut it to len(data).
+
+    The file is opened without O_TRUNC: dropping an existing file's blocks
+    first costs more than the write on some file systems (ext4 mounted with
+    discard), and the truncate after the write frees only the tail.  A
+    write-only file can be rewritten, as with open(path, "wb").
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+    with open(fd, "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
 class _Run:
     """Collects output files, then writes them and, last, the manifest."""
 
@@ -146,7 +168,7 @@ class _Run:
         ]
         for name in sorted(self.files):
             data = self.files[name].encode()
-            (self.out_dir / name).write_bytes(data)
+            _rewrite(self.out_dir / name, data)
             digest = hashlib.sha256(data).hexdigest()
             manifest.append(f"output {name} sha256 {digest}")
         tmp = manifest_path.with_suffix(".tmp")

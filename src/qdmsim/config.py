@@ -219,7 +219,12 @@ def _parse_value(key: str, raw: str, line_no: int):
 
 
 def _strip_comment(line: str) -> str:
-    return re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+    """line without a comment: a # at its start or after whitespace, and
+    what follows.  A line without # skips the regex, which re compiles on
+    its first use in a process rather than at import."""
+    if "#" in line:
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0]
+    return line.strip()
 
 
 def parse_config(text: str) -> RunConfig:

@@ -10,7 +10,11 @@ until one fails:
 * whole_number: a count, seed or index, taken through operator.index (so
   numpy integers and bools pass, floats do not) and held to its bounds;
 * finite_number: a quantity that is not NaN or +-inf, held to a lower
-  bound, inclusive or strict.
+  bound, inclusive or strict.  Whatever compares as one real number
+  passes unchanged: Python and numpy reals, bools (as 0 and 1, as
+  whole_number counts them) and a one-element array (numpy compares it
+  as its element).  A value whose comparison raises or is ambiguous (a
+  string, None, an array of two or more elements) is refused.
 
 Each failure is a DomainError whose message starts with the name of the
 value.
@@ -61,8 +65,11 @@ def whole_number(name: str, value, lo, hi=None) -> int:
 
 def finite_number(name: str, value, lo: float = _NEG_INF, strict: bool = False):
     """value unchanged if it is finite and >= lo (> lo when strict)."""
-    if (value > lo if strict else value >= lo) and _NEG_INF < value < _INF:
-        return value
+    try:
+        if (value > lo if strict else value >= lo) and _NEG_INF < value < _INF:
+            return value
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
     if lo == _NEG_INF:
         rule = "finite"
     elif strict and lo == 0:

@@ -48,8 +48,20 @@ from .sequence import PROTOCOLS, ProtocolParams, _cycle, cycle_layout
 #: Average of the first and last recurrent-readout SNR, 2 / (1 + e^-1).
 RECURRENT_SNR_PREFACTOR = 2.0 / (1.0 + math.exp(-1.0))
 
-#: Decimal text of each graymap level.
-_GREY_TEXT = tuple(map(str, range(256)))
+
+def _grey_table() -> np.ndarray:
+    """Each graymap level's decimal text and a space, right-aligned in
+    4 bytes with leading NULs."""
+    i = np.arange(256)
+    text = np.zeros((256, 4), dtype=np.uint8)
+    text[:, 0] = (i // 100 + 48) * (i >= 100)
+    text[:, 1] = (i // 10 % 10 + 48) * (i >= 10)
+    text[:, 2] = i % 10 + 48
+    text[:, 3] = 32  # ' '
+    return text.view(np.uint32).ravel()
+
+
+_GREY_TEXT = _grey_table()
 
 CSV_HEADER = ("i_conf_mw_per_um2,t_mw_us,eta_lc,eta_leibold,eta_conv,"
               "ratio_leibold_lc,ratio_conv_lc,valid")
@@ -220,9 +232,10 @@ class SensitivityGrid:
         lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 1.0)
         scale = 255.0 / (hi - lo) if hi > lo else 0.0
         levels = np.where(self.valid, np.rint((logs - lo) * scale), 0).astype(int)
-        rows = [" ".join(map(_GREY_TEXT.__getitem__, row)) for row in levels.tolist()]
         h, w = levels.shape
-        return f"P2\n{w} {h}\n255\n" + "\n".join(rows) + "\n"
+        rows = np.take(_GREY_TEXT, levels).view(np.uint8).reshape(h, 4 * w)
+        rows[:, -1] = 10  # each row's last space is its newline
+        return f"P2\n{w} {h}\n255\n" + rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def sweep(spec: SweepSpec) -> SensitivityGrid:

@@ -552,6 +552,35 @@ class TestDeterministicOutputs:
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("argv", [("sweep", "--pgm"), ("plan", "--protocol", "conventional")])
+    def test_rerun_over_longer_files_matches_fresh_run(self, tmp_path, argv):
+        """A rerun writes each output over the old file and cuts it to its
+        new length: nothing of the longer old file is left behind."""
+        larger = {"sweep_points_i = 61": "sweep_points_i = 11",
+                  "sweep_points_t = 61": "sweep_points_t = 9",
+                  "grid_nx = 100": "grid_nx = 13", "grid_ny = 100": "grid_ny = 11"}
+        (tmp_path / "large").mkdir()
+        (tmp_path / "small").mkdir()
+        large_cfg = small_config(tmp_path / "large", **larger)
+        cfg = small_config(tmp_path / "small")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli("--config", str(large_cfg), argv[0], "--out", str(out), *argv[1:]) == 0
+        old_sizes = {p.name: p.stat().st_size for p in out.iterdir()}
+        for target in (out, fresh):
+            assert run_cli("--config", str(cfg), argv[0], "--out", str(target), *argv[1:]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            data = (out / name).read_bytes()
+            assert data == (fresh / name).read_bytes(), name
+            if name.endswith((".csv", ".pgm")):
+                assert len(data) < old_sizes[name], name
+        outputs = [line.split() for line in (out / "manifest.txt").read_text().splitlines()
+                   if line.startswith("output ")]
+        assert sorted(f[1] for f in outputs) == [n for n in names if n != "manifest.txt"]
+        for _, name, _, digest in outputs:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
     def test_seed_changes_simulation_output(self, tmp_path):
         cfg_path = small_config(tmp_path)
         out_a, out_b = tmp_path / "s1", tmp_path / "s2"

@@ -121,6 +121,16 @@ EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, _nan_with_payload(12345),
                1.0, 2.0, 0.5, 2.0**-14, 2.0**52, -(2.0**40), 1024.0]
 
 
+#: Fractions that end at or just past an edge of the kernel's 4-digit
+#: groups, each with its number of fraction digits, and fractions that
+#: hold whole groups of zeros.
+GROUP_EDGES = [(0.7, 1), (1.2345, 4), (1.23456, 5), (1.23456789, 8), (1.234567891, 9),
+               (0.1234567890123456, 16), (0.30000000000000004, 17),
+               (0.012345678901234567, 18), (0.00012345678901234567, 20),
+               (1.00001, 5), (0.000100001, 9), (1.00000001, 8),
+               (0.0001000000000001, 16), (10.000000000000002, 15)]
+
+
 def uncertified(x):
     """The values the kernel leaves to repr for a reason it can name: not
     finite, zero, outside repr's positional range [1e-4, 1e16), or with a
@@ -218,6 +228,22 @@ class TestColumnText:
         want = col[uncertified(col) | near_ties]
         assert np.array_equal(np.array(calls), want, equal_nan=True)
         assert len(calls) == len(EDGE_VALUES) - 4  # 0.0001, 0.1, 1/3, -2.5 pass
+
+    @pytest.mark.parametrize("value, digits", GROUP_EDGES, ids=repr)
+    def test_fraction_digit_groups(self, monkeypatch, value, digits):
+        assert len(repr(value).partition(".")[2]) == digits
+        calls = []
+
+        def counting_repr(v):
+            calls.append(v)
+            return repr(v)
+
+        monkeypatch.setattr(qdmsim._csv, "repr", counting_repr, raising=False)
+        # alone, and beside a shorter fraction and the longest, which widens
+        # the block to five groups
+        for col in ([value], [value, -value, 2.5, 0.00012345678901234567]):
+            assert column_text(np.array(col)) == [repr(v) for v in col]
+        assert not calls  # the kernel wrote every digit
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES),

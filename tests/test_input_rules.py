@@ -3,9 +3,10 @@
 whole_number holds counts, seeds and indices; finite_number holds
 quantities.  Each row of the table below is an entry point, the argument
 it checks and the bad values that apply to its rule: NaN, +-inf,
-non-integral, negative, zero and, for counts, 2**53 + 1.  Every one must
-end in a DomainError whose message names the argument, never in numpy's
-or Python's TypeError, ValueError or OverflowError.
+non-integral, negative, zero, for counts 2**53 + 1, and for quantities
+what is not one real number ("3", None, a 2-element array).  Every one
+must end in a DomainError whose message names the argument, never in
+numpy's or Python's TypeError, ValueError or OverflowError.
 """
 
 import math
@@ -37,7 +38,7 @@ SWEEP = dict(i_conf_grid=(1.0,), t_mw_grid=(10.0,), i_ls=0.2, model=MODEL,
              t1=5000.0, t_d=0.1)
 
 # bad values per rule
-FINITE = [math.nan, math.inf, -math.inf]
+FINITE = [math.nan, math.inf, -math.inf, "3", None, np.array([1.0, 2.0])]
 AT_LEAST_0 = FINITE + [-1.0]
 POSITIVE = AT_LEAST_0 + [0.0]
 WHOLE = [math.nan, math.inf, -math.inf, 2.5, "3"]
@@ -77,8 +78,9 @@ GUARDED = [
     ("AOMAxis", "slope", lambda v: AOMAxis(80.0, v), FINITE),
     ("voxel_for_rf", "iz",
      lambda v: voxel_for_rf(rf_for_voxel((1, 1, 0), GRID, CAL), GRID, CAL, iz=v), WHOLE),
-    ("plan_acquisition", "t_z_step",
-     lambda v: plan_acquisition(GRID, PARAMS, LCQDM, t_z_step=v), AT_LEAST_0),
+    ("plan_acquisition", "t_z_step",  # None: no focus steps
+     lambda v: plan_acquisition(GRID, PARAMS, LCQDM, t_z_step=v),
+     [bad for bad in AT_LEAST_0 if bad is not None]),
     ("SweepSpec", "t1", lambda v: SweepSpec(**{**SWEEP, "t1": v}), POSITIVE),
     ("SweepSpec", "t_d", lambda v: SweepSpec(**{**SWEEP, "t_d": v}), AT_LEAST_0),
     ("log_grid", "n", lambda v: log_grid(1.0, 2.0, v), INDEX),
@@ -164,6 +166,10 @@ class TestRules:
         assert finite_number("x", value, 0, strict=True) is value
         assert finite_number("x", 0, 0) == 0
         assert finite_number("x", -1e308) == -1e308
+        # what compares as one real number: bools as 0 and 1, and a
+        # one-element array as its element
+        for value in (True, False, np.bool_(True), np.array([0.5]), np.array(0.5)):
+            assert finite_number("x", value, 0) is value
 
     @pytest.mark.parametrize("value, lo, strict, message", [
         (math.nan, -math.inf, False, "x must be finite, got nan"),
@@ -174,6 +180,10 @@ class TestRules:
         (np.float64(math.nan), 0, True, "x must be finite and positive, got nan"),
         (1.0, 2, False, "x must be finite and >= 2, got 1.0"),
         (2.0, 2, True, "x must be finite and > 2, got 2.0"),
+        ("3", 0, False, "x must be a real number, got '3'"),
+        (None, -math.inf, False, "x must be a real number, got None"),
+        (np.array([1.0, 2.0]), 0, True, "x must be a real number, got array([1., 2.])"),
+        (np.array([-1.0]), 0, False, "x must be finite and >= 0, got [-1.]"),
     ])
     def test_finite_number_messages(self, value, lo, strict, message):
         with pytest.raises(DomainError) as info:
