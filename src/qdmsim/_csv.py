@@ -7,16 +7,21 @@ writes.  csv_text lays out a block of rows at a time as one uint8 matrix:
 each column owns a fixed run of bytes per row, a value's text sits in it
 with NUL bytes wherever it is shorter, and commas and newlines have fixed
 places.  bytes.translate drops every NUL, which compacts the block; the
-blocks are decoded once.  Whole digits come two at a time from a table of
-the texts of 0 .. 99, and fraction digits four at a time from one of the
-texts of 0 .. 9999, built on first use.  A column given as an Axis (the
-grid axes of a sweep or an RF table) is formatted once per table.  Axis
-columns that repeat alike share a pattern: one full-width row per value,
-holding their texts in their fields and NUL elsewhere.  A block starts as
-the separators; each pattern's rows are gathered for it and merged in by
-bitwise or, and the array columns' texts are copied into their fields.  A
-block holds at most BLOCK_VALUES values, which bounds its temporaries: a
-writer's peak stays within three times the text it returns.
+blocks are decoded once.  Every digit comes from one table of the texts of
+0 .. 9999 as 4-byte groups, built on first use: whole parts and integers
+four digits at a time, right-aligned with leading zeros NUL, and fractions
+four at a time, left-aligned with trailing zeros NUL.  Since a column's
+whole parts end in one column of its field, the minus sign and the decimal
+point are single bytes in fixed columns: the sign before the longest whole
+part's first digit (NUL in rows without one), the point after the last.
+A column given as an Axis (the grid axes of a sweep or an RF table) is
+formatted once per table.  Axis columns that repeat alike share a
+pattern: one full-width row per value, holding their texts in their
+fields and NUL elsewhere.  A block starts as the separators; each
+pattern's rows are gathered for it and merged in by bitwise or, and the
+array columns' texts are copied into their fields.  A block holds at most
+BLOCK_VALUES values, which bounds its temporaries: a writer's peak stays
+within three times the text it returns.
 
 The float kernel certifies each value's digits exactly.  For |x| in
 [1e-4, 1e16), where repr prints positional digits, it forms N = |x| * 10**s
@@ -62,47 +67,37 @@ _POW10_LO = _POW10 - _POW10_HI
 _POW5 = np.array([5.0**k for k in range(23)])
 _INT_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
 _MANTISSA = np.uint64(2**52 - 1)
-_TEN, _HUNDRED = np.uint64(10), np.uint64(100)
-
-
-def _cell_table() -> np.ndarray:
-    """Texts of 0 .. 99 as 2-byte cells, in four variants: zero-padded;
-    leading zero NUL; the same with 0 as "0"; trailing zero NUL.  Then the
-    digits 0 .. 9, each followed by a point."""
-    i = np.arange(100)[:, None]
-    place = np.array([10, 1])
-    chars = (i // place % 10 + 48).astype(np.uint8)
-    no_lead = chars * (i >= place)
-    no_trail = chars * (i % (10 * place) != 0)
-    units = no_lead.copy()
-    units[0, 1] = 48
-    point = np.stack([chars[:10, 1], np.full(10, 46, dtype=np.uint8)], axis=1)
-    return np.concatenate([chars, no_lead, units, no_trail, point]).view(np.uint16).ravel()
-
-
-_CELLS = _cell_table()
-_NO_LEAD, _UNITS, _POINT = map(np.int64, (100, 200, 400))
-_MINUS_CELL = np.frombuffer(b"-\0", dtype=np.uint16)[0]
-_ZERO_CELL = np.frombuffer(b"0\0", dtype=np.uint16)[0]
 
 
 @functools.cache
-def _quads() -> np.ndarray:
-    """Texts of 0 .. 9999 as 4-byte groups, in three variants: zero-padded;
-    trailing zeros NUL; the same with 0 as "0".  Each group is two cells of
-    _CELLS: its upper pair drops trailing zeros only when its lower pair is
-    00."""
-    pairs, no_trail = _CELLS[:100], _CELLS[300:400]
-    t = np.empty((3, 100, 100, 2), dtype=np.uint16)  # variant, upper, lower, cell
-    t[:, :, :, 0] = pairs[:, None]
-    t[0, :, :, 1] = pairs
-    t[1:, :, :, 1] = no_trail
-    t[1:, :, 0, 0] = no_trail
-    t[2, 0, 0, 0] = _ZERO_CELL
+def _groups() -> np.ndarray:
+    """Texts of 0 .. 9999 as 4-byte groups, in five variants: zero-padded;
+    leading zeros NUL; the same with 0 as "0"; trailing zeros NUL; the same
+    with 0 as "0".  Each group is two texts of 0 .. 99: its lower pair
+    drops leading zeros only when its upper pair is 00, and its upper pair
+    drops trailing zeros only when its lower pair is 00."""
+    i = np.arange(100)[:, None]
+    place = np.array([10, 1])
+    chars = (i // place % 10 + 48).astype(np.uint32)
+    # a text's bytes read as a little-endian number, so that a group is
+    # its upper pair plus its lower pair shifted by two bytes
+    pad, no_lead, no_trail = (c[:, 0] + (c[:, 1] << 8) for c in
+                              (chars, chars * (i >= place), chars * (i % (10 * place) != 0)))
+    t = np.empty((5, 100, 100), dtype="<u4")  # variant, upper, lower
+    np.add(pad[:, None], pad << 16, out=t[0])
+    np.add(no_lead[:, None], pad << 16, out=t[1])
+    t[1, 0] = no_lead << 16
+    t[2] = t[1]
+    t[2, 0, 0] = ord("0") << 24
+    np.add(pad[:, None], no_trail << 16, out=t[3])
+    t[3, :, 0] = no_trail
+    t[4] = t[3]
+    t[4, 0, 0] = ord("0")
     return t.view(np.uint32).ravel()
 
 
-_NO_TRAIL, _FIRST = np.int64(10000), np.int64(20000)
+_NO_LEAD, _UNITS, _NO_TRAIL, _FIRST = map(np.int64, (10000, 20000, 30000, 40000))
+_MINUS, _POINT = ord("-"), ord(".")
 
 
 class Axis(NamedTuple):
@@ -152,10 +147,10 @@ def _formatted(arrays: list[np.ndarray]) -> list[np.ndarray]:
         which = [k for k, a in enumerate(arrays) if (a.dtype == np.float64) == is_float]
         if which:
             values = np.concatenate([arrays[k] for k in which])
-            cells = (_float_cells if is_float else _int_cells)(values).view(np.uint8)
+            texts = (_float_text if is_float else _int_text)(values)
             end = 0
             for k in which:
-                out[k] = cells[end:end + len(arrays[k])]
+                out[k] = texts[end:end + len(arrays[k])]
                 end += len(arrays[k])
     return out
 
@@ -194,45 +189,45 @@ def _rows(layout, texts: dict, lo: int, hi: int) -> bytearray:
     return buf.translate(None, b"\0")
 
 
-def _whole_cells(v: np.ndarray, out: np.ndarray, point: bool) -> None:
-    """Decimal text of uint64s into out's 2-byte cells, right-aligned,
-    leading zeros NUL and 0 printed as "0".  With point, the last cell
-    holds the last digit and a decimal point."""
+def _whole_groups(v: np.ndarray, out: np.ndarray) -> None:
+    """Decimal text of uint64s into out's 4-byte groups, right-aligned,
+    leading zeros NUL and 0 printed as "0"."""
+    groups = _groups()
     n = out.shape[1]
     for k in range(n - 1, -1, -1):
-        if point and k == n - 1:
-            q = v // _TEN
-            index = (v - q * _TEN).astype(np.int64) + _POINT
-        else:
-            q = v // _HUNDRED
-            index = (v - q * _HUNDRED).astype(np.int64)
-            index += (q == 0) * (_UNITS if k == n - 1 else _NO_LEAD)
-        np.take(_CELLS, index, out=out[:, k])
+        q = v // 10000
+        index = (v - q * 10000).astype(np.int64)
+        index += (q == 0) * (_UNITS if k == n - 1 else _NO_LEAD)
+        np.take(groups, index, out=out[:, k])
         v = q
 
 
-def _n_whole(largest: int, point: bool) -> int:
-    """Cells _whole_cells needs for integers up to largest."""
-    return -(-(len(str(largest)) + point) // 2)
-
-
-def _int_cells(values: np.ndarray) -> np.ndarray:
-    """Decimal text of int64 values (or bools as 0 and 1) in 2-byte cells."""
-    v = values.astype(np.int64)
-    neg = v < 0
-    mag = np.where(neg, 0 - v, v).view(np.uint64)  # -2**63 wraps to 2**63
+def _whole_text(mag: np.ndarray, neg: np.ndarray, tail: int) -> np.ndarray:
+    """Decimal text of uint64s, after a minus where neg, right-aligned in
+    a byte matrix's first columns; tail NUL columns follow."""
     sign = int(neg.any())
-    out = np.empty((len(v), sign + _n_whole(int(mag.max(initial=0)), False)), np.uint16)
-    if sign:
-        out[:, 0] = neg * _MINUS_CELL
-    _whole_cells(mag, out[:, sign:], point=False)
+    n_digits = len(str(int(mag.max(initial=0))))
+    lead = -n_digits % 4  # the first group's leading columns, NUL in every row
+    full = np.zeros((len(mag), sign + lead + n_digits + tail), dtype=np.uint8)
+    _whole_groups(mag, full[:, sign:sign + lead + n_digits].view(np.uint32))
+    out = full[:, lead:]
+    if sign:  # the column before the first digit's, NUL wherever not neg
+        out[:, 0] = neg * _MINUS
     return out
 
 
-def _frac_cells(hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
+def _int_text(values: np.ndarray) -> np.ndarray:
+    """Decimal text of int64 values (or bools as 0 and 1) as a byte matrix."""
+    v = values.astype(np.int64)
+    neg = v < 0
+    mag = np.where(neg, 0 - v, v).view(np.uint64)  # -2**63 wraps to 2**63
+    return _whole_text(mag, neg, 0)
+
+
+def _frac_groups(hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
     """Digits of hi * 10**12 + lo into out's 4-byte groups, left-aligned to
     the first, trailing zeros NUL and 0 printed as "0"."""
-    quads = _quads()
+    groups = _groups()
     n = out.shape[1]
     zeros_right = np.ones(len(lo), dtype=bool)  # every group to the right is zeros
     v = lo
@@ -241,7 +236,7 @@ def _frac_cells(hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
             v = hi
         q = v // 10000
         r = v - q * 10000
-        np.take(quads, r + zeros_right * (_FIRST if k == 0 else _NO_TRAIL), out=out[:, k])
+        np.take(groups, r + zeros_right * (_FIRST if k == 0 else _NO_TRAIL), out=out[:, k])
         zeros_right &= r == 0
         v = q
 
@@ -284,34 +279,29 @@ def _shortest(x: np.ndarray):
     return pi + (q * step - r).astype(np.int64), s, ok
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """repr of each float64 in 2-byte cells, NUL-padded."""
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """repr of each float64 as a byte matrix, NUL-padded."""
     m, s, ok = _shortest(x)
     m[~ok], s[~ok] = 0, 1
     whole, frac = np.divmod(m, _INT_POW10[np.minimum(s, 18)])  # m < 10**18
-    # the fraction takes n_frac cells; left-aligned in the 4 * n_quads
-    # digits of its groups (up to 20, more than an int64 holds), it is
-    # hi * 10**12 + lo
-    n_frac = -(-int(s.max(initial=1)) // 2)
-    n_quads = -(-n_frac // 2)
-    shift = 4 * n_quads - s
+    # the fraction, left-aligned in the 4 * n_frac digits of its groups (up
+    # to 20, more than an int64 holds), is hi * 10**12 + lo
+    s_max = int(s.max(initial=1))
+    n_frac = -(-s_max // 4)
+    shift = 4 * n_frac - s
     hi, lo = np.divmod(frac, _INT_POW10[np.maximum(12 - shift, 0)])
     hi *= _INT_POW10[np.maximum(shift - 12, 0)]
     lo *= _INT_POW10[np.minimum(shift, 12)]
-    neg = np.signbit(x) & ok
-    sign = int(neg.any())
-    n_whole = _n_whole(int(whole.max(initial=0)), True)
     slow = [repr(v) for v in x[~ok].tolist()]
-    start = sign + n_whole
-    width = max([start + n_frac, *(-(-len(t) // 2) for t in slow)])
-    # with n_frac odd the last group spills one cell past the fraction: it
-    # holds trailing zeros, so NUL, and is cut off
-    out = np.zeros((len(x), max(width, start + 2 * n_quads)), dtype=np.uint16)
-    if sign:
-        out[:, 0] = neg * _MINUS_CELL
-    _whole_cells(whole.view(np.uint64), out[:, sign:start], point=True)
-    _frac_cells(hi, lo, out[:, start:start + 2 * n_quads].view(np.uint32))
+    longest = max(map(len, slow), default=0)
+    tail = max(1 + 4 * n_frac, longest)  # room for a row's repr
+    out = _whole_text(whole.view(np.uint64), np.signbit(x) & ok, tail)
+    point = out.shape[1] - tail
+    out[:, point] = _POINT
+    _frac_groups(hi, lo, out[:, point + 1:point + 1 + 4 * n_frac].view(np.uint32))
+    # the columns past the longest text hold NUL in every row
+    width = max(point + 1 + s_max, longest)
     out = out[:, :width]
     if slow:
-        out[~ok] = np.array(slow, dtype=f"S{2 * width}").view(np.uint16).reshape(-1, width)
+        out[~ok] = np.array(slow, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return out

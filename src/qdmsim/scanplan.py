@@ -59,6 +59,8 @@ class VoxelGrid:
 
     def coords(self, flat_index: int) -> tuple[int, int, int]:
         """Raster-order (ix, iy, iz) for a flat index."""
+        # any whole number: one outside the grid is an IndexError
+        flat_index = whole_number("flat_index", flat_index, -math.inf)
         if not 0 <= flat_index < self.n_voxels:
             raise IndexError(f"voxel index {flat_index} outside grid")
         ix = flat_index % self.nx
@@ -109,7 +111,9 @@ class AOMCalibration:
 def rf_for_voxel(voxel: tuple[int, int, int], grid: VoxelGrid,
                  cal: AOMCalibration) -> tuple[float, float, float, float]:
     """Drive frequencies (f_sx, f_sy, f_dx, f_dy) in MHz for one voxel."""
-    ix, iy, iz = voxel
+    # any whole numbers: a voxel outside the grid is an IndexError
+    ix, iy, iz = (whole_number(name, i, -math.inf)
+                  for name, i in zip(("ix", "iy", "iz"), voxel, strict=True))
     if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 <= iz < grid.nz):
         raise IndexError(f"voxel {voxel} outside grid")
     return cal.drives(ix, iy, grid.pitch)

@@ -145,7 +145,9 @@ def evaluate_point(model: PhotophysicsModel, i_conf: float, t_mw: float,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid specification for the (I_conf, t_mw) comparison sweep."""
+    """Grid specification for the (I_conf, t_mw) comparison sweep.  Each
+    grid may be any 1-D sequence of reals and is stored as a tuple of
+    floats."""
 
     i_conf_grid: tuple[float, ...]
     t_mw_grid: tuple[float, ...]
@@ -155,8 +157,8 @@ class SweepSpec:
     t_d: float
 
     def __post_init__(self):
-        _require_increasing("i_conf_grid", self.i_conf_grid)
-        _require_increasing("t_mw_grid", self.t_mw_grid)
+        for name in ("i_conf_grid", "t_mw_grid"):
+            object.__setattr__(self, name, _increasing_grid(name, getattr(self, name)))
         if not all(0 <= t < math.inf for t in self.t_mw_grid):
             raise DomainError("t_mw_grid must be finite and >= 0")
         finite_number("t1", self.t1, 0, strict=True)
@@ -165,11 +167,25 @@ class SweepSpec:
         init_time(self.model, self.i_ls)
 
 
-def _require_increasing(name: str, grid: tuple[float, ...]) -> None:
-    if not grid:
+_REAL = (float, int, np.integer, np.floating)
+
+
+def _increasing_grid(name: str, grid) -> tuple[float, ...]:
+    """grid as a tuple of floats: a non-empty, strictly increasing 1-D
+    sequence of real numbers (a tuple, a list or an array)."""
+    try:
+        values = tuple(grid)
+        if not all(isinstance(v, _REAL) for v in values):
+            raise TypeError
+        values = tuple(map(float, values))  # an int past 1e308 overflows
+    except (TypeError, OverflowError):
+        raise DomainError(f"{name} must be a 1-D sequence of real numbers, "
+                          f"got {grid!r}") from None
+    if not values:
         raise DomainError(f"{name} must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError(f"{name} must be strictly increasing")
+    return values
 
 
 def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:

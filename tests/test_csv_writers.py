@@ -17,8 +17,12 @@ search can slip.  A tracemalloc test bounds each writer's peak.
 
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +135,14 @@ GROUP_EDGES = [(0.7, 1), (1.2345, 4), (1.23456, 5), (1.23456789, 8), (1.23456789
                (0.0001000000000001, 16), (10.000000000000002, 15)]
 
 
+#: Whole parts and integers that end at or just past an edge of the
+#: kernel's 4-digit groups, each with its number of whole digits.
+WHOLE_EDGES = [(3.5, 1), (9999.5, 4), (10000.25, 5), (12345678.5, 8), (123456789.5, 9),
+               (999999999999.5, 12), (1000000000000.5, 13), (1234567890123456.0, 16),
+               (0, 1), (9, 1), (9999, 4), (10000, 5), (99999999, 8), (10**8, 9),
+               (2**63 - 1, 19), (-1, 1), (-10000, 5), (-2**63, 19)]
+
+
 def uncertified(x):
     """The values the kernel leaves to repr for a reason it can name: not
     finite, zero, outside repr's positional range [1e-4, 1e16), or with a
@@ -160,6 +172,19 @@ def edge_family_values(seed, n):
         short, *near, top, -top,
         np.cumsum(rng.random(k)), np.arange(k) / 1e5, np.linspace(0.0, 1.0, k),
         rng.integers(0, 2**64, k, dtype=np.uint64).view(np.float64)])
+
+
+@pytest.fixture
+def repr_calls(monkeypatch):
+    """The values the kernel hands to repr, in order."""
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(qdmsim._csv, "repr", counting_repr, raising=False)
+    return calls
 
 
 class TestColumnText:
@@ -209,14 +234,7 @@ class TestColumnText:
         assert csv_text("a,b", [Axis(np.arange(2)), Axis(np.array([0.25]), 2)]
                         ).splitlines()[1:] == ["0,0.25", "1,0.25"]
 
-    def test_repr_only_for_uncertified_values(self, monkeypatch):
-        calls = []
-
-        def counting_repr(value):
-            calls.append(value)
-            return repr(value)
-
-        monkeypatch.setattr(qdmsim._csv, "repr", counting_repr, raising=False)
+    def test_repr_only_for_uncertified_values(self, repr_calls):
         rng = np.random.default_rng(3)
         col = np.concatenate([np.tile(80.0 + 0.1 * np.arange(40), 160),
                               rng.random(2000) * 1e3, EDGE_VALUES])
@@ -226,24 +244,31 @@ class TestColumnText:
         # ends on integers.
         near_ties = np.isin(np.abs(col), [TIE, 1502805014714973.75, 9999999999999998.0])
         want = col[uncertified(col) | near_ties]
-        assert np.array_equal(np.array(calls), want, equal_nan=True)
-        assert len(calls) == len(EDGE_VALUES) - 4  # 0.0001, 0.1, 1/3, -2.5 pass
+        assert np.array_equal(np.array(repr_calls), want, equal_nan=True)
+        assert len(repr_calls) == len(EDGE_VALUES) - 4  # 0.0001, 0.1, 1/3, -2.5 pass
 
     @pytest.mark.parametrize("value, digits", GROUP_EDGES, ids=repr)
-    def test_fraction_digit_groups(self, monkeypatch, value, digits):
+    def test_fraction_digit_groups(self, repr_calls, value, digits):
         assert len(repr(value).partition(".")[2]) == digits
-        calls = []
-
-        def counting_repr(v):
-            calls.append(v)
-            return repr(v)
-
-        monkeypatch.setattr(qdmsim._csv, "repr", counting_repr, raising=False)
         # alone, and beside a shorter fraction and the longest, which widens
         # the block to five groups
         for col in ([value], [value, -value, 2.5, 0.00012345678901234567]):
             assert column_text(np.array(col)) == [repr(v) for v in col]
-        assert not calls  # the kernel wrote every digit
+        assert not repr_calls  # the kernel wrote every digit
+
+    @pytest.mark.parametrize("value, digits", WHOLE_EDGES, ids=repr)
+    def test_whole_digit_groups(self, repr_calls, value, digits):
+        assert len(str(abs(int(value)))) == digits
+        # alone, in a column without a negative value and in one with: a
+        # sign byte puts every group of the column one byte further on
+        if isinstance(value, float):
+            cols = ([value], [-value], [value, 2.5, 1234567890123456.0],
+                    [value, -value, -2.5])
+        else:
+            cols = ([value], [value, 0, 9, 2**63 - 1], [value, -1, 10**8])
+        for col in cols:
+            assert column_text(np.array(col)) == [repr(v) for v in col]
+        assert not repr_calls  # the kernel wrote every digit
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES),
@@ -270,6 +295,40 @@ class TestColumnText:
         col = edge_family_values(0, 750_000)
         assert len(col) >= 10**6
         assert_same_text("\n".join(column_text(col)), "\n".join(map(repr, col.tolist())))
+
+
+class TestDigitTable:
+    def test_not_built_by_import_or_config_parsing(self):
+        """Every command imports qdmsim and parses a config; neither builds
+        the table, which only a CSV writer needs."""
+        done = subprocess.run(
+            [sys.executable, "-c", "import qdmsim, qdmsim._csv; "
+             "qdmsim.parse_config(qdmsim.default_config_text()); "
+             "print(qdmsim._csv._groups.cache_info().currsize)"],
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(qdmsim.__file__).resolve().parents[1])),
+            capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"
+
+    def test_build_allocates_little_beyond_the_table(self):
+        qdmsim._csv._groups.cache_clear()
+        tracemalloc.start()
+        try:
+            table = qdmsim._csv._groups()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (50000,) and table.dtype == np.uint32
+        assert peak <= 1.5 * table.nbytes
+
+    def test_groups(self):
+        texts = qdmsim._csv._groups().view("S4").tolist()
+        for n in (0, 7, 10, 99, 100, 1010, 1200, 9999):
+            padded = f"{n:04d}".encode()
+            lead, trail = padded.lstrip(b"0"), padded.rstrip(b"0")
+            assert [t.ljust(4, b"\0") for t in texts[n::10000]] == [
+                padded, lead.rjust(4, b"\0"), (lead or b"0").rjust(4, b"\0"),
+                trail.ljust(4, b"\0"), (trail or b"0").ljust(4, b"\0")]
 
 
 class TestCsvText:

@@ -76,6 +76,10 @@ GUARDED = [
       for k, name in enumerate(("nx", "ny", "nz"))),
     ("AOMAxis", "f0", lambda v: AOMAxis(v, 0.1), POSITIVE),
     ("AOMAxis", "slope", lambda v: AOMAxis(80.0, v), FINITE),
+    ("VoxelGrid.coords", "flat_index", lambda v: GRID.coords(v), WHOLE),
+    *(("rf_for_voxel", name,
+       lambda v, k=k: rf_for_voxel(tuple(v if i == k else 1 for i in range(3)), GRID, CAL),
+       WHOLE) for k, name in enumerate(("ix", "iy", "iz"))),
     ("voxel_for_rf", "iz",
      lambda v: voxel_for_rf(rf_for_voxel((1, 1, 0), GRID, CAL), GRID, CAL, iz=v), WHOLE),
     ("plan_acquisition", "t_z_step",  # None: no focus steps
@@ -122,10 +126,27 @@ def test_bad_value_is_domain_error_naming_the_argument(call, arg, bad):
     lambda: log_grid(1.0, 2.0, np.uint32(3)),
     lambda: build_cycle(LCQDM, PARAMS, np.int32(2)),
     lambda: build_cycle(LCQDM, PARAMS, True),
+    lambda: GRID.coords(np.int64(5)),
+    lambda: rf_for_voxel((np.int64(1), np.uint8(1), True), GRID, CAL),
 ], ids=["SimConfig-numpy", "SimConfig-bool", "simulate_calibration", "VoxelGrid",
-        "voxel_for_rf", "log_grid", "build_cycle-numpy", "build_cycle-bool"])
+        "voxel_for_rf", "log_grid", "build_cycle-numpy", "build_cycle-bool",
+        "VoxelGrid.coords", "rf_for_voxel"])
 def test_numpy_integers_and_bools_accepted(call):
     call()
+
+
+# a whole index outside the grid is an IndexError, not a DomainError
+@pytest.mark.parametrize("call", [
+    lambda: GRID.coords(-1),
+    lambda: GRID.coords(GRID.n_voxels),
+    lambda: rf_for_voxel((4, 0, 0), GRID, CAL),
+    lambda: rf_for_voxel((0, -1, 0), GRID, CAL),
+    lambda: rf_for_voxel((0, 0, 2), GRID, CAL),
+], ids=["coords-negative", "coords-past-end", "rf_for_voxel-ix", "rf_for_voxel-iy",
+        "rf_for_voxel-iz"])
+def test_whole_index_outside_grid_is_index_error(call):
+    with pytest.raises(IndexError):
+        call()
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", str(MAX_EXACT_COUNT + 1)])

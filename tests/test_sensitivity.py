@@ -235,12 +235,28 @@ class TestSweep:
         (dict(t_mw_grid=(10.0, math.inf)), "t_mw_grid must be finite"),
         (dict(t1=math.inf), "t1 must be finite and positive"),
         (dict(t_d=-1.0), "t_d must be finite and >= 0"),
+        (dict(i_conf_grid=1.0), "i_conf_grid must be a 1-D sequence of real numbers"),
+        (dict(i_conf_grid=np.array([[1.0], [2.0]])), "i_conf_grid must be a 1-D sequence"),
+        (dict(t_mw_grid="10"), "t_mw_grid must be a 1-D sequence of real numbers"),
+        (dict(t_mw_grid=[10.0, None]), "t_mw_grid must be a 1-D sequence"),
+        (dict(t_mw_grid=[10.0, 10**400]), "t_mw_grid must be a 1-D sequence"),
+        (dict(t_mw_grid=np.array([20.0, 10.0])), "t_mw_grid must be strictly increasing"),
     ])
     def test_spec_refusals(self, model, overrides, message):
         fields = dict(i_conf_grid=(1.0,), t_mw_grid=(10.0,), i_ls=0.2,
                       model=model, t1=5000.0, t_d=0.1)
         with pytest.raises(DomainError, match=message):
             SweepSpec(**{**fields, **overrides})
+
+    def test_array_and_list_grids_are_stored_as_tuples(self, model):
+        fields = dict(i_ls=0.2, model=model, t1=5000.0, t_d=0.1)
+        tuples = SweepSpec(i_conf_grid=log_grid(0.01, 1.0, 4),
+                           t_mw_grid=log_grid(1.0, 100.0, 3), **fields)
+        arrays = SweepSpec(i_conf_grid=np.array(tuples.i_conf_grid),
+                           t_mw_grid=list(tuples.t_mw_grid), **fields)
+        assert arrays == tuples
+        assert all(type(v) is float for v in arrays.i_conf_grid + arrays.t_mw_grid)
+        assert sweep(arrays).to_csv() == sweep(tuples).to_csv()
 
     def test_unknown_ratio_map(self, model):
         spec = SweepSpec(i_conf_grid=(1.0,), t_mw_grid=(10.0,), i_ls=0.2,
