@@ -26,13 +26,24 @@ read_trace_csv's contract: lines are split as str.splitlines splits them
 (CRLF, form feed and U+2028 included) and stripped; blank lines are
 skipped but still counted.  The first line left must be the header
 (spaces inside it are ignored), and every line after it holds three
-comma-separated fields, each parsed by float() - so `1_0`, `nan` and
-`inf` parse as Python parses them, and a non-finite value is then
-refused by CalibrationTrace.  A malformed file raises DomainError naming
-the file line of the first bad row.  The rows before the first one
-without exactly three fields are parsed in one pass, through one
-iterator over their fields; a field that float() refuses is placed by
-how many fields that iterator had handed out.
+comma-separated fields, each parsed as float() parses it - so `1_0`,
+`nan` and `inf` parse as Python parses them, and a non-finite value is
+then refused by CalibrationTrace.  A malformed file raises DomainError
+naming the file line of the first bad row.
+
+Two readers keep that contract.  The body lines go first to numpy's C
+reader, np.loadtxt, which parses each field with the correctly rounded
+PyOS_string_to_double that float() also uses, without making a Python
+float per field; its table is taken when it has one row per line and
+three columns.  Every text it refuses - a row without three fields, a
+field float() refuses, and some that float() accepts, such as `1_0` or
+non-ASCII digits - goes to the row path: one iterator over the fields
+of the rows before the first without exactly three, mapped through
+float(), where a refused field is placed by how many fields that
+iterator had handed out.  The C reader strips the separators
+U+001C-U+001F at a field's edge, where float() refuses them; splitlines
+breaks lines at U+001C-U+001E, so a text holding U+001F takes the row
+path.
 """
 
 from __future__ import annotations
@@ -100,6 +111,7 @@ class ExtractedTimes:
 
 
 def _require_usable(trace: CalibrationTrace) -> np.ndarray:
+    """The trace's contrast series, once the trace is known to be usable."""
     if len(trace) < 3:
         raise ExtractionError(f"trace has {len(trace)} samples, need at least 3")
     c = trace.contrast_series()
@@ -108,9 +120,17 @@ def _require_usable(trace: CalibrationTrace) -> np.ndarray:
     return c
 
 
+def _require_mode(mode: str) -> None:
+    if mode not in ("averaged", "instantaneous"):
+        raise DomainError(f"unknown mode {mode!r}")
+
+
 def extract_init_time(trace: CalibrationTrace) -> float:
     """Delay at which contrast first decays to 1/e^3 of its peak, in us."""
-    c = _require_usable(trace)
+    return _init_time(trace, _require_usable(trace))
+
+
+def _init_time(trace: CalibrationTrace, c: np.ndarray) -> float:
     t = trace.t_sweep
     peak_idx = int(np.argmax(c))
     threshold = c[peak_idx] * E_CUBED_DECAY
@@ -139,9 +159,12 @@ def extract_readout_time(trace: CalibrationTrace, mode: str = "averaged"
     mode "instantaneous" uses the contrast at t itself instead of the
     window average.  Returns (t_ro, warnings); ties break toward smaller t.
     """
-    if mode not in ("averaged", "instantaneous"):
-        raise DomainError(f"unknown mode {mode!r}")
-    c = _require_usable(trace)
+    _require_mode(mode)
+    return _readout_time(trace, _require_usable(trace), mode)
+
+
+def _readout_time(trace: CalibrationTrace, c: np.ndarray, mode: str
+                  ) -> tuple[float, tuple[str, ...]]:
     t = trace.t_sweep
     photons = _cumulative_trapezoid(trace.ref_pl, t)
     if mode == "averaged":
@@ -161,10 +184,15 @@ def extract_readout_time(trace: CalibrationTrace, mode: str = "averaged"
 
 
 def extract_times(trace: CalibrationTrace, mode: str = "averaged") -> ExtractedTimes:
-    """Full per-trace extraction: t_ro, t_init, and the peak contrast."""
+    """Full per-trace extraction: t_ro, t_init, and the peak contrast.
+
+    The contrast series is computed once; an unusable trace raises
+    ExtractionError before an unknown mode raises DomainError.
+    """
     c = _require_usable(trace)
-    t_ro, warnings = extract_readout_time(trace, mode)
-    t_init = extract_init_time(trace)
+    _require_mode(mode)
+    t_ro, warnings = _readout_time(trace, c, mode)
+    t_init = _init_time(trace, c)
     if t_init < t_ro:
         warnings = warnings + (
             f"extracted t_init {t_init:.4g} us below t_ro {t_ro:.4g} us",)
@@ -195,14 +223,30 @@ TRACE_CSV_HEADER = "t_sweep_us,sig_pl,ref_pl"
 def read_trace_csv(text: str, intensity: float) -> CalibrationTrace:
     """Parse a trace from CSV text with header `t_sweep_us,sig_pl,ref_pl`.
 
-    Every field goes through float(), so the arrays are bitwise those of a
-    row-by-row parse.  Lines are stripped and blank ones skipped but
-    counted: an error names the file line of the first bad row.
+    Every field is parsed as float() parses it, so the arrays are bitwise
+    those of a row-by-row parse.  Lines are stripped and blank ones skipped
+    but counted: an error names the file line of the first bad row.
     """
     lines = [s for ln in text.splitlines() if (s := ln.strip())]
     if not lines or lines[0].replace(" ", "") != TRACE_CSV_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_CSV_HEADER!r}")
     body = lines[1:]
+    arr = None
+    # loadtxt strips U+001F at a field's edge, where float() refuses it
+    if body and "\x1f" not in text:
+        try:
+            arr = np.loadtxt(body, dtype=float, delimiter=",", comments=None,
+                             ndmin=2)
+        except ValueError:
+            pass
+    if arr is None or arr.shape != (len(body), 3):
+        arr = _read_rows(text, body)
+    return CalibrationTrace(intensity, arr[:, 0], arr[:, 1], arr[:, 2])
+
+
+def _read_rows(text: str, body: list[str]) -> np.ndarray:
+    """The body rows parsed field by field through float(), as an (n, 3)
+    array; the first bad row raises DomainError naming its file line."""
     # the rows before the first that does not hold three fields
     n_rows = next((k for k, ln in enumerate(body) if ln.count(",") != 2), len(body))
     fields = iter(",".join(body[:n_rows]).split(",") if n_rows else [])
@@ -215,8 +259,7 @@ def read_trace_csv(text: str, intensity: float) -> CalibrationTrace:
     if n_rows < len(body):
         raise DomainError(f"trace CSV line {_file_line(text, n_rows)}: "
                           "expected 3 columns")
-    arr = values.reshape(-1, 3)
-    return CalibrationTrace(intensity, arr[:, 0], arr[:, 1], arr[:, 2])
+    return values.reshape(-1, 3)
 
 
 def _file_line(text: str, row: int) -> int:

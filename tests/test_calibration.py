@@ -207,6 +207,62 @@ class TestExtractTimes:
         times = extract_times(trace)
         assert times.t_init < times.t_ro
         assert any("t_init" in w for w in times.warnings)
+        assert _times_outcome(trace, "averaged") == _separate_outcome(
+            trace, "averaged")
+
+
+def _times_outcome(trace, mode):
+    """extract_times as float hex, or its error, comparable bitwise."""
+    try:
+        times = extract_times(trace, mode)
+    except ExtractionError as exc:
+        return str(exc)
+    return (times.t_ro.hex(), times.t_init.hex(), times.peak_contrast.hex(),
+            times.warnings)
+
+
+def _separate_outcome(trace, mode):
+    """The same, from the three separate extractions."""
+    try:
+        t_ro, warnings = extract_readout_time(trace, mode)
+        t_init = extract_init_time(trace)
+    except ExtractionError as exc:
+        return str(exc)
+    if t_init < t_ro:
+        warnings += (f"extracted t_init {t_init:.4g} us below t_ro {t_ro:.4g} us",)
+    return (t_ro.hex(), t_init.hex(),
+            float(max(trace.contrast_series())).hex(), warnings)
+
+
+class TestOneContrastSeries:
+    """extract_times computes the contrast series once and hands it on."""
+
+    @pytest.mark.parametrize("mode", ["averaged", "instantaneous"])
+    @pytest.mark.parametrize("shots", [20, 100_000, None])  # None: noiseless
+    def test_equals_separate_extractions(self, model, shots, mode):
+        outcomes = set()
+        for intensity in np.geomspace(0.1, 5.0, 4):
+            for span in (0.5, 1.25):  # 0.5: the contrast never decays enough
+                t = np.linspace(0.0, span * init_time(model, intensity), 400)
+                for seed in range(3):
+                    trace = simulate_calibration(model, intensity, t, shots or 1,
+                                                 seed, noiseless=shots is None)
+                    got = _times_outcome(trace, mode)
+                    assert got == _separate_outcome(trace, mode)
+                    outcomes.add(isinstance(got, str))
+        assert False in outcomes
+        if shots != 20:  # with little noise the short span never decays enough
+            assert True in outcomes
+
+    def test_unusable_trace_fails_before_unknown_mode(self):
+        short = CalibrationTrace(1.0, [0.0, 1.0], [0.9, 0.95], [1.0, 1.0])
+        with pytest.raises(ExtractionError, match="need at least 3"):
+            extract_times(short, mode="bogus")
+
+    def test_unknown_mode_on_usable_trace(self):
+        trace = exponential_trace(tau_p=3.0, t_max=15.0, n=100)
+        with pytest.raises(DomainError, match="unknown mode 'bogus'"):
+            extract_times(trace, mode="bogus")
 
 
 class TestFit:
@@ -343,8 +399,13 @@ def _outcome(parse, text):
 _HEADERS = [" t_sweep_us , sig_pl , ref_pl ",
             "t_sweep_us, sig_pl,\tref_pl", "t_sweep_us,sig,ref",
             "t_sweep_us,sig_pl,ref_pl,", "0,1,1"]
+# The C reader refuses `1_0`, `1e1_0` and the non-ASCII digits, which the
+# row path accepts; it accepts the U+001F-edged fields, which float() refuses.
 _FIELDS = ["1", "2.5", "-0.0", "1e400", "1_0", "nan", "inf", "-inf", "", "x",
-           " 3 ", "\t4\t", "0x1", "1e", "\xa05", "1 # 2"]
+           " 3 ", "\t4\t", "0x1", "1e", "\xa05", "1 # 2", "5\x1f", "\x1f5",
+           "\u0665", "\uff15", "1e1_0", "1234567890.12345678901234567890",
+           "4.9e-324", "2.4e-324", "1.7976931348623159e308", "Infinity",
+           "+nan"]
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\n\n", "\n  \n",
                "\n\t\n"]
 
@@ -412,10 +473,21 @@ class TestOnePassParse:
         assert isinstance(got[0], bytes)
         assert got == _outcome(reference_read_trace_csv, text)
 
+    @pytest.mark.parametrize("field", _FIELDS)
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_each_field_parses_alike(self, field, column):
+        row = ["1", "2", "3"]
+        row[column] = field
+        text = f"{TRACE_CSV_HEADER}\n0,1,1\n{','.join(row)}\n"
+        assert _outcome(read_trace_csv, text) == _outcome(
+            reference_read_trace_csv, text)
+
     @pytest.mark.parametrize("text, message", [
         (TRACE_CSV_HEADER + "\n0,1,1\n1,x,1\n2,3\n", "line 3: could not convert"),
+        (TRACE_CSV_HEADER + "\n0,1,1\n\n1,5\x1f,1\n", "line 4: could not convert"),
         (TRACE_CSV_HEADER + "\n0,1,1\n1,2\n2,x,1\n", "line 3: expected 3 columns"),
         (TRACE_CSV_HEADER + "\n0,1,1,\n", "line 2: expected 3 columns"),
+        (TRACE_CSV_HEADER + "\n0,1,1,7\n1,2,3,4\n", "line 2: expected 3 columns"),
         (TRACE_CSV_HEADER + "\n0,1,\n", "line 2: could not convert"),
         (TRACE_CSV_HEADER + "\r\n\r\n\x0c0,1,1\u20281,1,ref\n", "line 5:"),
     ])
