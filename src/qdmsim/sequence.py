@@ -18,25 +18,27 @@ readouts that fit in t1), `build_cycle` (behind the three named builders)
 and sensitivity's paper forms (the recurrent ones are the cycle's
 continuum limit) all derive from that declaration through `_cycle`.
 
-A timeline is made in one of two ways: by a builder (`build_cycle`, its
-three full-cycle shorthands, `build_calibration_sequence`), or from columns
-through the checked constructor `PulseSequence(kind, start, duration, voxel,
-tag)`.  It has two jobs: it is the brute-force oracle for the closed forms
-(`cycle_layout`, sensitivity's `readout_decay_sum` and `eta_exact` must equal
-sums over its columns), and it is the demo's printable timeline (`to_text`).
-`validate_sequence` checks a timeline, including one from outside the package.
+A timeline is made only by a builder (`build_cycle`, its three full-cycle
+shorthands, `build_calibration_sequence`).  It has two jobs: it is the
+brute-force oracle for the closed forms (`cycle_layout`, sensitivity's
+`readout_decay_sum` and `eta_exact` must equal sums over its columns), and
+it is the demo's printable timeline (`to_text`).  `validate_sequence` checks
+a timeline's t1 budget against a parameter set, which a cycle built for a
+longer t1 breaks.
 
-A sequence is stored as four numpy columns in event order: `kind` (int8
-code indexing EVENT_KINDS), `start` and `duration` (float64 us) and `voxel`
-(int64, -1 for none).  `build_cycle` fills them with strided assignments,
-the validator and the reductions (span, duty cycle) work on them directly,
-and `windows()` returns the readout windows as `SequenceEvent` rows.  The
-constructor checks every column; a builder-made timeline skips that
-re-check, because its columns hold every invariant by construction:
-`cycle_layout` refuses a cycle whose end overflows, and that end bounds
-every start and end of the cycle and of any partial cycle.  A sequence holds
-at most MAX_EVENTS events; a larger cycle is a DomainError raised before any
-column is allocated, and its totals come from `cycle_layout` instead.
+A sequence is stored as four read-only numpy columns in event order: `kind`
+(int8 code indexing EVENT_KINDS), `start` and `duration` (float64 us) and
+`voxel` (int64, -1 for none).  The builders fill them with strided
+assignments, the reductions (span, duty cycle) work on them directly, and
+`windows()` returns the readout windows as `SequenceEvent` rows.  The
+columns hold their invariants by construction: starts in order, each
+Leibold window inside its voxel's laser dwell, each calibration window
+inside its half's second laser pulse, and finite non-negative times.  A
+builder refuses a timeline whose last end overflows (for a cycle through
+`cycle_layout`), and that end bounds every start and end before it.  A
+sequence holds at most MAX_EVENTS events; a larger cycle is a DomainError
+raised before any column is allocated, and its totals come from
+`cycle_layout` instead.
 
 Readout windows in the recurrent protocols double as the confocal dwell
 itself (the steering beam parks on the voxel exactly for the readout); a
@@ -72,8 +74,13 @@ _LS, _LASER, _MW, _WINDOW, _DEAD = range(len(EVENT_KINDS))
 # Largest sequence that may be materialized (about 250 MB of columns).
 MAX_EVENTS = 10**7
 
-# Relative slack for float comparisons on accumulated event times.
+# Relative slack for the t1 budget on accumulated event times.
 _TIME_RTOL = 1e-9
+
+# ProtocolParams fields with whether each must be strictly positive.
+_PARAM_FIELDS = (("t_init_ls", False), ("t_init_conf", False),
+                 ("t_ro_conf", True), ("t_mw", False), ("t_d", False),
+                 ("t1", True))
 
 
 @dataclass(frozen=True)
@@ -88,17 +95,18 @@ class ProtocolParams:
     t1: float           # spin-lattice relaxation time
 
     def __post_init__(self):
-        finite_number("t_init_ls", self.t_init_ls, 0)
-        finite_number("t_init_conf", self.t_init_conf, 0)
-        finite_number("t_ro_conf", self.t_ro_conf, 0, strict=True)
-        finite_number("t_mw", self.t_mw, 0)
-        finite_number("t_d", self.t_d, 0)
-        finite_number("t1", self.t1, 0, strict=True)
+        for name, strict in _PARAM_FIELDS:
+            value = getattr(self, name)
+            # finite_number passes a one-element array, which the scalar
+            # layout arithmetic cannot take
+            if isinstance(value, np.ndarray):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            finite_number(name, value, 0, strict)
 
 
 @dataclass(frozen=True)
 class SequenceEvent:
-    """One row of a PulseSequence, as `windows()` returns it; unchecked."""
+    """One row of a PulseSequence, as `windows()` returns it."""
 
     kind: str
     start: float
@@ -108,10 +116,8 @@ class SequenceEvent:
 
 @dataclass(frozen=True, eq=False)
 class PulseSequence:
-    """An event timeline as four equal-length columns in event order.
-
-    The sequence holds read-only copies of the columns it is given.
-    """
+    """An event timeline as four equal-length columns in event order, as
+    a builder makes it; the columns are marked read-only."""
 
     kind: np.ndarray      # int8 code indexing EVENT_KINDS
     start: np.ndarray     # float64 us
@@ -120,44 +126,8 @@ class PulseSequence:
     protocol_tag: str
 
     def __post_init__(self):
-        if self.protocol_tag not in (*PROTOCOLS, CALIBRATION):
-            raise DomainError(f"unknown protocol tag {self.protocol_tag!r}")
-        kind, voxel = np.asarray(self.kind), np.asarray(self.voxel)
-        for col, what in ((kind, "event kinds"), (voxel, "voxel indices")):
-            if col.ndim != 1 or col.dtype.kind not in "iu":
-                raise DomainError(f"{what} must be a 1-D integer column")
-        if ((kind < 0) | (kind >= len(EVENT_KINDS))).any():
-            raise DomainError(f"event kind codes must index {EVENT_KINDS}")
-        # before the cast to int64, which wraps a uint64 index to -1 or below
-        bad = voxel[(voxel < -1) | (voxel > np.iinfo(np.int64).max)]
-        if bad.size:
-            raise DomainError(f"voxel indices must be >= 0 (or -1 for none) and "
-                              f"fit int64, got {int(bad[0])}")
-        cols = (kind.astype(np.int8), np.array(self.start, np.float64),
-                np.array(self.duration, np.float64), voxel.astype(np.int64))
-        if any(c.shape != kind.shape for c in cols):
-            raise DomainError("sequence columns must have equal length")
-        kind, start, duration, voxel = cols
-        # a finite end implies finite times; it is also the overflow check
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite_end = np.isfinite(start + duration)
-        bad = np.flatnonzero(~(finite_end & (start >= 0) & (duration >= 0)))
-        if bad.size:
-            i = bad[0]
-            raise DomainError(
-                f"event {i} times must be finite and >= 0 with a finite end, "
-                f"got start={float(start[i])}, duration={float(duration[i])}")
-        _freeze(self, cols)
-
-    @classmethod
-    def _unchecked(cls, kind, start, duration, voxel, protocol_tag):
-        """Sequence from columns that hold every invariant by construction
-        (dtypes, equal lengths, kind range, finite non-negative times and
-        ends, voxel >= -1); how build_cycle makes every cycle."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "protocol_tag", protocol_tag)
-        _freeze(seq, (kind, start, duration, voxel))
-        return seq
+        for col in (self.kind, self.start, self.duration, self.voxel):
+            col.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, PulseSequence):
@@ -181,8 +151,6 @@ class PulseSequence:
 
     def span(self) -> float:
         """Total extent in us, from the earliest start to the latest end."""
-        if not self.kind.size:
-            return 0.0
         return float((self.start + self.duration).max() - self.start.min())
 
     def to_text(self) -> str:
@@ -191,12 +159,6 @@ class PulseSequence:
                  for k, s, d, v in zip(self.kind.tolist(), self.start.tolist(),
                                        self.duration.tolist(), self.voxel.tolist())]
         return "\n".join(lines) + "\n"
-
-
-def _freeze(seq: PulseSequence, cols) -> None:
-    for name, col in zip(("kind", "start", "duration", "voxel"), cols):
-        col.flags.writeable = False
-        object.__setattr__(seq, name, col)
 
 
 def _slots_within(budget: float, slot: float) -> int:
@@ -301,7 +263,7 @@ def build_cycle(protocol_tag: str, p: ProtocolParams,
             code, window_start + offset if offset else window_start, length)
         if addressed:
             voxel[i::width] = k
-    return PulseSequence._unchecked(kind, start, duration, voxel, protocol_tag)
+    return PulseSequence(kind, start, duration, voxel, protocol_tag)
 
 
 # Full-cycle shorthands for build_cycle(tag, p); a partial cycle goes
@@ -327,11 +289,17 @@ def build_calibration_sequence(p: ProtocolParams, t_sweep: float) -> PulseSequen
 
     Each half is init pulse, MW block (zero width; the reference half simply
     has no pulse applied inside it), then the laser back on with an
-    instantaneous readout sample at offset t_sweep.
+    instantaneous readout sample at offset t_sweep.  A sequence whose last
+    end, the reference half's second laser end, overflows is a DomainError.
     """
     finite_number("t_sweep", t_sweep, 0)
+    half = p.t_init_conf + t_sweep + p.t_ro_conf
+    end = (half + p.t_init_conf) + (t_sweep + p.t_ro_conf)
+    if not math.isfinite(end):
+        raise DomainError(f"a calibration sequence at t_sweep = {t_sweep!r} us "
+                          f"ends at {end!r} us; its times overflow")
     # rows: 0 = signal half, 1 = reference half
-    t0 = np.array([[0.0], [p.t_init_conf + t_sweep + p.t_ro_conf]])
+    t0 = np.array([[0.0], [half]])
     laser_on = t0 + p.t_init_conf
     return PulseSequence(
         np.tile(np.array([_LASER, _MW, _LASER, _WINDOW], np.int8), 2),
@@ -349,78 +317,28 @@ class ValidationReport:
 
 
 def validate_sequence(seq: PulseSequence, p: ProtocolParams) -> ValidationReport:
-    """Check ordering, laser containment of readouts, and the t1 budget.
+    """Check a timeline's t1 budget against p.
 
-    Containment: a readout window must fall inside a ConfocalLaserPulse with
-    the same voxel index.  When no laser pulse anywhere in the sequence
-    addresses that voxel, the window is taken to be its own dwell (the
-    steering beam parks exactly for the readout, as the recurrent builders
-    emit) and passes.
-
-    The t1 budget runs from the end of the last MW block to the end of the
-    last readout window, and applies to the recurrent protocols.  A sequence
+    The budget runs from the end of the MW block to the end of the last
+    readout window, and applies to the recurrent protocols.  A sequence
     whose single readout already overruns t1 is the degenerate minimum-one-
     readout case and is reported as a warning, not a violation.
     """
     violations: list[str] = []
     warnings: list[str] = []
-
-    start, voxel = seq.start, seq.voxel
-    end = start + seq.duration
-    span = float(end.max() - start.min()) if end.size else 0.0
-    tol = _TIME_RTOL * max(1.0, span)
-    for i in (np.flatnonzero(start[1:] < start[:-1] - tol) + 1).tolist():
-        violations.append(f"event {i} starts at {float(start[i])} before event {i - 1}")
-
-    # Pulses sorted by (voxel, start).  Step 1 tests each window against the
-    # first pulse of its voxel, which holds every builder window; windows on
-    # a voxel with no pulse (LCQDM, Conventional) pass.  Step 2 merges the
-    # windows left with all pulses in (voxel, start - tol) order, a pulse
-    # first on a tie.  Pulse ranks in (voxel, end) order rise block by block,
-    # so their running maximum at a window is the furthest-ending earlier
-    # pulse of its voxel, or below its block's first rank if there is none.
-    pulses = np.flatnonzero(seq.kind == _LASER)
-    windows = np.flatnonzero(seq.kind == _WINDOW)
-    if pulses.size:
-        pulses = pulses[np.lexsort((start[pulses], voxel[pulses]))]
-        pulse_voxel, window_voxel = voxel[pulses], voxel[windows]
-        first = np.searchsorted(pulse_voxel, window_voxel)
-        q = pulses[np.minimum(first, pulses.size - 1)]
-        unheld = np.flatnonzero((voxel[q] == window_voxel) & (
-            (start[q] - tol > start[windows]) | (end[windows] > end[q] + tol)))
-        if unheld.size:
-            w = windows[unheld]
-            by_end = np.lexsort((end[pulses], pulse_voxel))
-            rank = np.append(np.argsort(by_end), np.full(w.size, -1))
-            order = np.lexsort((rank < 0, np.append(start[pulses] - tol, start[w]),
-                                np.append(pulse_voxel, voxel[w])))
-            reach = np.maximum.accumulate(rank[order])[np.argsort(order)[pulses.size:]]
-            unheld = unheld[(reach < first[unheld])
-                            | (end[w] > end[pulses[by_end]][reach] + tol)]
-        for i in windows[unheld].tolist():
-            v = int(voxel[i])
-            violations.append(
-                f"readout window (event {i}) lies outside every laser pulse "
-                f"for voxel {v if v >= 0 else None}")
-
     if seq.protocol_tag in (LCQDM, LEIBOLD):
-        mw_ends = end[seq.kind == _MW]
-        if mw_ends.size and windows.size:
-            recurrent_span = float(end[windows].max() - mw_ends.max())
-            if recurrent_span > p.t1 * (1 + _TIME_RTOL):
-                msg = (f"recurrent span {recurrent_span:.6g} us exceeds "
-                       f"t1 = {p.t1:.6g} us")
-                if windows.size == 1:
-                    warnings.append(msg + " (single clamped readout)")
-                else:
-                    violations.append(msg)
-
+        end = seq.start + seq.duration
+        windows = seq.kind == _WINDOW
+        recurrent_span = float(end[windows].max() - end[seq.kind == _MW].max())
+        if recurrent_span > p.t1 * (1 + _TIME_RTOL):
+            msg = f"recurrent span {recurrent_span:.6g} us exceeds t1 = {p.t1:.6g} us"
+            if np.count_nonzero(windows) == 1:
+                warnings.append(msg + " (single clamped readout)")
+            else:
+                violations.append(msg)
     return ValidationReport(not violations, tuple(violations), tuple(warnings))
 
 
 def duty_cycle(seq: PulseSequence) -> float:
     """Fraction of the sequence span spent acquiring readout signal."""
-    total = seq.span()
-    if total <= 0:
-        return 0.0
-    return float(seq.duration[seq.kind == _WINDOW].sum()) / total
+    return float(seq.duration[seq.kind == _WINDOW].sum()) / seq.span()

@@ -45,6 +45,9 @@ WHOLE = [math.nan, math.inf, -math.inf, 2.5, "3"]
 SEED = WHOLE + [-1]
 INDEX = WHOLE + [0, -1]
 COUNT = INDEX + [MAX_EXACT_COUNT + 1]
+# finite_number passes a one-element array; ProtocolParams refuses it, as
+# cycle_layout and eta_paper raised numpy's TypeError on it
+ARRAYS = [np.array([5000.0]), np.array(5000.0)]
 
 GUARDED = [
     ("lightsheet_intensity", "p_ls", lambda v: lightsheet_intensity(v, 100.0, 10.0),
@@ -66,7 +69,8 @@ GUARDED = [
     ("readout_time", "intensity", lambda v: readout_time(MODEL, v), POSITIVE),
     ("photon_flux", "intensity", lambda v: photon_flux(MODEL, v), AT_LEAST_0),
     *(("ProtocolParams", name, lambda v, name=name: ProtocolParams(**{**TIMES, name: v}),
-       POSITIVE if name in ("t_ro_conf", "t1") else AT_LEAST_0) for name in TIMES),
+       (POSITIVE if name in ("t_ro_conf", "t1") else AT_LEAST_0) + ARRAYS)
+      for name in TIMES),
     ("build_calibration_sequence", "t_sweep",
      lambda v: build_calibration_sequence(PARAMS, v), AT_LEAST_0),
     ("build_cycle", "n_readouts", lambda v: build_cycle(LCQDM, PARAMS, v), INDEX),
