@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 import time
 import tracemalloc
 import warnings
@@ -129,6 +131,48 @@ def reference_duty(rows):
     if total <= 0:
         return 0.0
     return sum(e.duration for e in rows if e.kind == READOUT_WINDOW) / total
+
+
+def recurrent_span(seq):
+    """From the end of the MW block to the end of the last readout window,
+    read one event row at a time."""
+    events = event_rows(seq)
+    return (max(end(e) for e in events if e.kind == READOUT_WINDOW)
+            - max(end(e) for e in events if e.kind == MW_BLOCK))
+
+
+def reference_validate(seq, p):
+    """The t1 budget check one event row at a time: the array validator must
+    report exactly this."""
+    violations, warned = [], []
+    if seq.protocol_tag in (LCQDM, LEIBOLD):
+        span = recurrent_span(seq)
+        if span > p.t1 * (1 + 1e-9):
+            msg = f"recurrent span {span:.6g} us exceeds t1 = {p.t1:.6g} us"
+            if len(seq.windows()) == 1:
+                warned.append(msg + " (single clamped readout)")
+            else:
+                violations.append(msg)
+    return sequence.ValidationReport(not violations, tuple(violations), tuple(warned))
+
+
+# How a test moves t1 against a built cycle's recurrent span; offsets
+# straddle the validator's 1e-9 relative tolerance.
+T1_EDITS = ("at_span", "within_tolerance", "past_tolerance", "anywhere")
+
+
+def edited_t1(seq, p, how, rng):
+    """p with its t1 moved against seq's recurrent span as `how` says."""
+    span = recurrent_span(seq)
+    if how == "at_span":
+        t1 = span
+    elif how == "within_tolerance":
+        t1 = span / (1 + rng.choice((0.25e-9, 0.5e-9, 0.9e-9)))
+    elif how == "past_tolerance":
+        t1 = span / (1 + rng.choice((2e-9, 1e-6, 0.5)))
+    else:
+        t1 = rng.uniform(0.01, 2.0) * span
+    return dataclasses.replace(p, t1=t1)
 
 
 def build(tag, p, t_sweep=2.0):
@@ -426,6 +470,34 @@ class TestOverflow:
         assert str(info.value) == ("a calibration sequence at t_sweep = 1e+308 us "
                                    "ends at inf us; its times overflow")
 
+    # the last end is (half + t_init_conf) + (t_sweep + t_ro_conf), with
+    # half = t_init_conf + t_sweep + t_ro_conf: each time alone can overflow it
+    @pytest.mark.parametrize("overrides, t_sweep", [
+        (dict(t_init_conf=1e308), 0.0),
+        (dict(t_ro=1e308), 0.0),
+        (dict(), 1.7e308),
+        (dict(t_ro=6e307), 6e307),
+    ], ids=["t_init_conf", "t_ro_conf", "t_sweep", "t_sweep+t_ro_conf"])
+    def test_each_overflowing_calibration_time_is_refused(self, overrides, t_sweep):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                build_calibration_sequence(make_params(**overrides), t_sweep)
+        assert str(info.value) == (f"a calibration sequence at t_sweep = {t_sweep!r} "
+                                   "us ends at inf us; its times overflow")
+
+    @pytest.mark.parametrize("overrides, t_sweep", [
+        (dict(), 8e307),
+        (dict(t_init_conf=5e307), 0.0),
+    ], ids=["t_sweep", "t_init_conf"])
+    def test_calibration_below_overflow_is_built(self, overrides, t_sweep):
+        p = make_params(**overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = build_calibration_sequence(p, t_sweep)
+        assert event_rows(seq) == reference_timeline(CALIBRATION, p, t_sweep)
+        assert_builder_invariants(seq, p)
+
     @given(st.floats(0.0, 1.7e308), st.floats(1e-300, 1.7e308),
            st.floats(0.0, 1.7e308))
     @settings(max_examples=200, deadline=None)
@@ -556,6 +628,15 @@ class TestValidation:
         report = validate_sequence(seq, make_params(t1=2500.0))
         assert report == sequence.ValidationReport(False, (message,), ())
 
+    @pytest.mark.parametrize("tag", [LCQDM, LEIBOLD])
+    def test_two_readouts_over_budget_is_a_violation(self, tag):
+        # only a single readout is the clamped case
+        seq = build_cycle(tag, make_params(), 2)
+        span = recurrent_span(seq)
+        report = validate_sequence(seq, make_params(t1=1.0))
+        assert report == sequence.ValidationReport(
+            False, (f"recurrent span {span:.6g} us exceeds t1 = 1 us",), ())
+
     def test_clamped_single_readout_is_warning(self):
         p = make_params(t_ro=50.0, t_d=0.0, t1=10.0)
         seq = build_lcqdm_cycle(p)
@@ -569,6 +650,63 @@ class TestValidation:
         report = validate_sequence(build_calibration_sequence(p, 1e4),
                                    make_params(t1=1.0))
         assert report.ok and not report.warnings
+
+    def test_conventional_has_no_t1_budget(self):
+        # one readout per cycle: nothing recurs within t1
+        seq = build_conventional_cycle(make_params(t_ro=50.0))
+        report = validate_sequence(seq, make_params(t1=1.0))
+        assert report.ok and not report.warnings
+
+    @pytest.mark.parametrize("tag", [LCQDM, LEIBOLD])
+    @pytest.mark.parametrize("slack, ok", [(0.0, True), (0.5e-9, True),
+                                           (2e-9, False)])
+    def test_t1_budget_tolerance(self, tag, slack, ok):
+        # t1 = span / (1 + slack): the span passes up to a slack of 1e-9
+        seq = build_cycle(tag, make_params())
+        report = validate_sequence(
+            seq, make_params(t1=recurrent_span(seq) / (1 + slack)))
+        assert report.ok is ok and not report.warnings
+        assert len(report.violations) == (0 if ok else 1)
+
+
+class TestArrayValidatorMatchesReference:
+    @given(param_strategy, st.floats(0.0, 100.0))
+    @settings(max_examples=60, deadline=None)
+    def test_built_cycles(self, p, t_sweep):
+        for tag in (*sequence.PROTOCOLS, CALIBRATION):
+            seq = build(tag, p, t_sweep)
+            assert validate_sequence(seq, p) == reference_validate(seq, p)
+
+    @given(param_strategy, st.sampled_from((*sequence.PROTOCOLS, CALIBRATION)),
+           st.sampled_from(T1_EDITS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_perturbed_cycles(self, p, tag, how, seed):
+        # a built cycle validated against a t1 moved across its recurrent span
+        seq = build(tag, p)
+        q = edited_t1(seq, p, how, random.Random(seed))
+        assert validate_sequence(seq, q) == reference_validate(seq, q)
+
+    @given(clamped_param_strategy, st.sampled_from((LCQDM, LEIBOLD)))
+    @settings(max_examples=40, deadline=None)
+    def test_single_clamped_readout(self, p, tag):
+        seq = build(tag, p)
+        report = validate_sequence(seq, p)
+        assert report == reference_validate(seq, p)
+        assert report.ok and len(report.warnings) == 1
+
+    def test_perturbations_find_violations(self):
+        # the t1 edits must reach every outcome the reference has
+        rng = random.Random(11)
+        seen = set()
+        for p in (make_params(t1=200.0), make_params(t_ro=50.0, t_d=0.0, t1=10.0)):
+            for _ in range(100):
+                seq = build(rng.choice((LCQDM, LEIBOLD)), p)
+                q = edited_t1(seq, p, rng.choice(T1_EDITS), rng)
+                report = reference_validate(seq, q)
+                assert validate_sequence(seq, q) == report
+                seen.add("violation" if report.violations else
+                         "warning" if report.warnings else "ok")
+        assert seen == {"ok", "violation", "warning"}
 
 
 class TestGoldenTimelines:
@@ -668,6 +806,16 @@ class TestParamsValidation:
     def test_zero_readout_rejected(self):
         with pytest.raises(DomainError):
             make_params(t_ro=0.0)
+
+    @pytest.mark.parametrize("field", [name for name, _ in sequence._PARAM_FIELDS])
+    def test_numpy_scalar_field_accepted(self, field):
+        # ProtocolParams refuses an ndarray field; a numpy scalar is no ndarray
+        p = make_params()
+        q = dataclasses.replace(p, **{field: np.float64(getattr(p, field))})
+        for tag in sequence.PROTOCOLS:
+            assert cycle_layout(tag, q) == cycle_layout(tag, p)
+            assert build_cycle(tag, q) == build_cycle(tag, p)
+        assert build_calibration_sequence(q, 2.0) == build_calibration_sequence(p, 2.0)
 
     def test_calibration_tag_exists(self):
         p = make_params()
